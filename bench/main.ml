@@ -7,7 +7,7 @@
 
 open Chaoschain_measurement
 open Chaoschain_core
-module Json = Chaoschain_service.Json
+module Json = Chaoschain_report.Json
 
 (* Aliased before the Bechamel opens, which shadow [Monotonic_clock]. *)
 module Mclock = Monotonic_clock

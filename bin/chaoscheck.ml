@@ -29,6 +29,8 @@ module Base64 = Chaoschain_deployment.Base64
 module Certmsg = Chaoschain_tlssim.Certmsg
 module Service = Chaoschain_service
 module Report = Chaoschain_report.Report
+module Json = Chaoschain_report.Json
+module Framing = Chaoschain_net.Framing
 module Netloop = Chaoschain_net.Netloop
 module Loadgen = Chaoschain_net.Loadgen
 module Poller = Chaoschain_net.Poller
@@ -191,7 +193,7 @@ let analyze_cmd =
             | `Text -> Format.printf "%a@." Compliance.pp_report report
             | `Json ->
                 print_endline
-                  (Report.Json.pretty
+                  (Json.pretty
                      (Report.to_json (Compliance.report_ir report)))
             | `Md ->
                 print_string
@@ -376,8 +378,8 @@ let print_results fmt results =
   | `Md -> List.iter (fun r -> print_string (Report.to_markdown r)) results
   | `Json ->
       print_endline
-        (Report.Json.pretty
-           (Report.Json.List (List.map Report.to_json results)))
+        (Json.pretty
+           (Json.List (List.map Report.to_json results)))
 
 let check_paper_arg =
   Arg.(value & flag
@@ -492,7 +494,7 @@ let derfuzz_cmd =
                     (fun file ->
                       Out_channel.with_open_text file (fun oc ->
                           Out_channel.output_string oc
-                            (Report.Json.pretty (Report.to_json ir));
+                            (Json.pretty (Report.to_json ir));
                           Out_channel.output_char oc '\n'))
                     out;
                   Option.iter
@@ -951,7 +953,7 @@ let serve_cmd =
              ~doc:"Verdict LRU-cache capacity (entries; 0 disables caching).")
   in
   let max_frame_arg =
-    Arg.(value & opt int Service.Transport.default_max_frame
+    Arg.(value & opt int Framing.default_max_frame
          & info [ "max-frame" ]
              ~doc:"Longest accepted request line in bytes; longer lines are \
                    dropped with a structured 'overlong' error instead of \
@@ -968,8 +970,8 @@ let serve_cmd =
   let queue_arg =
     Arg.(value & opt int 64
          & info [ "queue" ]
-             ~doc:"Admission-queue bound; frames arriving past it are \
-                   rejected with an 'overloaded' reply instead of buffered.")
+             ~doc:"Admission-queue bound; while it is full, reading pauses \
+                   (on stdin and on every connection) until there is room.")
   in
   let batch_arg =
     Arg.(value & opt int 8
@@ -988,10 +990,9 @@ let serve_cmd =
          & info [ "listen" ] ~docv:"ADDR"
              ~doc:"Serve many concurrent connections on $(docv) — \
                    $(b,unix:PATH), $(b,tcp:HOST:PORT) or $(b,HOST:PORT) — \
-                   through the netd event loop instead of stdin/stdout. \
-                   Verdicts are byte-identical to the stdio path (same \
-                   engine, cache and batcher). SIGTERM/SIGINT drain \
-                   gracefully.")
+                   instead of stdin/stdout. Both run the same netd event \
+                   loop, engine, cache and batcher, so verdicts are \
+                   byte-identical. SIGTERM/SIGINT drain gracefully.")
   in
   let max_conns_arg =
     Arg.(value & opt int Netloop.default_config.Netloop.max_conns
@@ -1015,13 +1016,13 @@ let serve_cmd =
          & info [ "write-buf" ]
              ~doc:"Per-connection reply-buffer bound in bytes; a \
                    connection buffering more stops being read until it \
-                   drains (netd only).")
+                   drains.")
   in
   let inbox_arg =
     Arg.(value & opt int Netloop.default_config.Netloop.inbox_bound
          & info [ "inbox" ]
              ~doc:"Global bound on parsed frames awaiting admission; all \
-                   reading pauses past it (netd only).")
+                   reading pauses past it.")
   in
   let run scale cache queue batch jobs max_frame warm_store tls_format
       no_intern listen max_conns write_buf inbox poller shards =
@@ -1098,17 +1099,17 @@ let serve_cmd =
               in
               let dt = Unix.gettimeofday () -. t0 in
               let store_fields =
-                [ ("records", Service.Json.Int l.Corpus.l_records);
-                  ("certs", Service.Json.Int l.Corpus.l_certs);
-                  ("root", Service.Json.String l.Corpus.l_root_hex);
-                  ("warmed", Service.Json.Int warmed);
-                  ("warm_seconds", Service.Json.Float dt) ]
+                [ ("records", Json.Int l.Corpus.l_records);
+                  ("certs", Json.Int l.Corpus.l_certs);
+                  ("root", Json.String l.Corpus.l_root_hex);
+                  ("warmed", Json.Int warmed);
+                  ("warm_seconds", Json.Float dt) ]
               in
               (* The corpus's compliance tables ride along in stats replies
                  as structured report-IR JSON (cheap: no differential
                  testing). *)
               let experiments =
-                Service.Json.List
+                Json.List
                   (List.map Report.to_json
                      (Experiments.table_results (Corpus.analyze ~jobs:1 l)))
               in
@@ -1138,11 +1139,13 @@ let serve_cmd =
               i.Chaoschain_pki.Intern.entries i.Chaoschain_pki.Intern.hits
               i.Chaoschain_pki.Intern.lookups
           in
+          let config =
+            { Netloop.max_frame; max_conns; write_bound = write_buf;
+              inbox_bound = inbox }
+          in
           match listen with
           | None ->
-              Service.Engine.serve engine
-                (module Service.Transport.Fd)
-                (Service.Transport.Fd.stdio ~max_frame ());
+              ignore (Service.Netd.serve_stdio ~config engine : Netloop.stats);
               finish ();
               `Ok ()
           | Some spec -> (
@@ -1156,10 +1159,6 @@ let serve_cmd =
                       List.iter Service.Engine.shutdown engines;
                       `Error (false, msg)
                   | Ok backend -> (
-                      let config =
-                        { Netloop.max_frame; max_conns;
-                          write_bound = write_buf; inbox_bound = inbox }
-                      in
                       let resolved_conns =
                         if max_conns = 0 then Poller.default_max_conns backend
                         else max_conns
@@ -1262,7 +1261,7 @@ let loadgen_cmd =
                    of requests dropped — the run continues.")
   in
   let max_frame_arg =
-    Arg.(value & opt int Service.Transport.default_max_frame
+    Arg.(value & opt int Framing.default_max_frame
          & info [ "max-frame" ] ~doc:"Longest accepted reply line in bytes.")
   in
   let out_arg =
@@ -1322,10 +1321,10 @@ let loadgen_cmd =
             end)
   in
   let is_error line =
-    match Report.Json.of_string line with
+    match Json.of_string line with
     | Error _ -> true
     | Ok j -> (
-        match Option.bind (Report.Json.member "ok" j) Report.Json.get_bool with
+        match Option.bind (Json.member "ok" j) Json.get_bool with
         | Some ok -> not ok
         | None -> true)
   in
@@ -1419,7 +1418,7 @@ let loadgen_cmd =
                 (fun file ->
                   Out_channel.with_open_text file (fun oc ->
                       Out_channel.output_string oc
-                        (Report.Json.pretty (Report.to_json report));
+                        (Json.pretty (Report.to_json report));
                       Out_channel.output_char oc '\n'))
                 out;
               (match (replies, reply_log) with

@@ -1,4 +1,4 @@
-let default_max_frame = 1 lsl 20 (* = Transport.default_max_frame *)
+let default_max_frame = 1 lsl 20
 
 type t = {
   max_frame : int;

@@ -2,9 +2,9 @@
 
     One state machine per connection: bytes arrive in whatever chunks the
     socket delivers ({!feed}), complete newline-terminated lines come out
-    ({!next}). The semantics mirror {!Chaoschain_service.Transport.Fd} —
-    the serial stdio transport — exactly, so a frame is identical whichever
-    path carried it:
+    ({!next}). It is the only framing implementation: [chaoscheck serve]
+    frames stdin with it as well as every socket, so a frame is identical
+    whichever path carried it:
 
     - a line longer than [max_frame] yields [`Overlong] once, at the point
       the bound is crossed, and the machine switches to discard mode: the
@@ -14,20 +14,18 @@
     - a trailing unterminated line is delivered as a final frame at EOF;
     - after the EOF drain the machine answers [`Eof] forever.
 
-    Unlike the stdio transport, {!next} never touches a file descriptor:
-    the event loop owns all I/O and feeds raw chunks in. Scanning is
-    incremental — each input byte is examined once, independent of how the
-    stream is cut into chunks. *)
+    {!next} never touches a file descriptor: the event loop owns all I/O
+    and feeds raw chunks in. Scanning is incremental — each input byte is
+    examined once, independent of how the stream is cut into chunks. *)
 
 type t
 
 val default_max_frame : int
-(** 1 MiB — the same bound as
-    [Chaoschain_service.Transport.default_max_frame]. *)
+(** 1 MiB. *)
 
 val create : ?max_frame:int -> unit -> t
-(** [max_frame] defaults to [Chaoschain_service.Transport.default_max_frame]
-    (1 MiB); it must be [>= 1] (raises [Invalid_argument]). *)
+(** [max_frame] defaults to {!default_max_frame}; it must be [>= 1]
+    (raises [Invalid_argument]). *)
 
 val feed : t -> bytes -> int -> int -> unit
 (** [feed t buf pos len] appends [len] bytes of [buf] starting at [pos]

@@ -21,7 +21,8 @@ let default_config =
 
 type conn = {
   c_id : int;
-  c_fd : Unix.file_descr;
+  c_fd : Unix.file_descr;       (* read side *)
+  c_wfd : Unix.file_descr;      (* write side: c_fd again for a socket *)
   c_framing : Framing.t;
   c_inbox : string Queue.t;     (* parsed frames awaiting submission *)
   c_out : string Queue.t;       (* reply bytes awaiting the socket *)
@@ -86,12 +87,44 @@ type t = {
   mutable accept_backoff_until : float;
       (* while in the future, the listener is not armed: an fd-exhausted
          process must not spin on a permanently-ready accept queue *)
+  lifeline : bool;
+      (* created with a pre-adopted connection: drain once none is left *)
 }
 
 let accept_backoff_s = 0.05
 
+let set_interest t c ~read ~write =
+  if c.c_wfd = c.c_fd then Poller.set t.poller c.c_fd ~read ~write
+  else begin
+    Poller.set t.poller c.c_fd ~read ~write:false;
+    Poller.set t.poller c.c_wfd ~read:false ~write
+  end;
+  c.c_want_r <- read;
+  c.c_want_w <- write
+
+let register_conn ?wfd t fd =
+  let wfd = Option.value wfd ~default:fd in
+  Unix.set_nonblock fd;
+  if wfd <> fd then Unix.set_nonblock wfd;
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true
+   with Unix.Unix_error _ | Invalid_argument _ -> ());
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  t.accepted <- t.accepted + 1;
+  let c =
+    { c_id = id; c_fd = fd; c_wfd = wfd;
+      c_framing = Framing.create ~max_frame:t.config.max_frame ();
+      c_inbox = Queue.create (); c_out = Queue.create ();
+      c_out_off = 0; c_out_bytes = 0; c_inflight = 0;
+      c_read_eof = false; c_dead = false; c_want_r = true; c_want_w = false }
+  in
+  Hashtbl.add t.conns id c;
+  Hashtbl.replace t.by_fd fd c;
+  if wfd <> fd then Hashtbl.replace t.by_fd wfd c;
+  set_interest t c ~read:true ~write:false
+
 let create ?(config = default_config) ?(backend = Poller.Select) ?listen
-    ?dispatch sink =
+    ?dispatch ?conn sink =
   if config.max_conns < 0 then invalid_arg "Netloop.create: max_conns >= 0";
   if config.write_bound < 1 then invalid_arg "Netloop.create: write_bound >= 1";
   if config.inbox_bound < 1 then invalid_arg "Netloop.create: inbox_bound >= 1";
@@ -109,14 +142,19 @@ let create ?(config = default_config) ?(backend = Poller.Select) ?listen
   | Some fd ->
       Poller.set poller fd ~read:true ~write:false
   | None -> ());
-  { config; max_conns; poller; listen; sink; dispatch;
-    conns = Hashtbl.create 64; by_fd = Hashtbl.create 64;
-    chunk = Bytes.create 65536; wake_r; wake_w;
-    adopt_lock = Mutex.create (); adopt_q = Queue.create ();
-    next_id = 0; rr = 0; draining = Atomic.make false;
-    listener_armed = listen <> None; listener_closed = false; stopped = false;
-    inboxed = 0; accepted = 0; frames = 0; overlong = 0; dropped_replies = 0;
-    accept_failures = 0; accept_backoff_until = 0.0 }
+  let t =
+    { config; max_conns; poller; listen; sink; dispatch;
+      conns = Hashtbl.create 64; by_fd = Hashtbl.create 64;
+      chunk = Bytes.create 65536; wake_r; wake_w;
+      adopt_lock = Mutex.create (); adopt_q = Queue.create ();
+      next_id = 0; rr = 0; draining = Atomic.make false;
+      listener_armed = listen <> None; listener_closed = false; stopped = false;
+      inboxed = 0; accepted = 0; frames = 0; overlong = 0; dropped_replies = 0;
+      accept_failures = 0; accept_backoff_until = 0.0;
+      lifeline = conn <> None }
+  in
+  Option.iter (fun (r, w) -> register_conn t ~wfd:w r) conn;
+  t
 
 let max_conns t = t.max_conns
 let poller_name t = Poller.name t.poller
@@ -182,24 +220,6 @@ let rotated t =
       drop k all @ take k all
 
 (* --- accepting / adopting --- *)
-
-let register_conn t fd =
-  Unix.set_nonblock fd;
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  t.accepted <- t.accepted + 1;
-  let c =
-    { c_id = id; c_fd = fd;
-      c_framing = Framing.create ~max_frame:t.config.max_frame ();
-      c_inbox = Queue.create (); c_out = Queue.create ();
-      c_out_off = 0; c_out_bytes = 0; c_inflight = 0;
-      c_read_eof = false; c_dead = false; c_want_r = true; c_want_w = false }
-  in
-  Hashtbl.add t.conns id c;
-  Hashtbl.replace t.by_fd fd c;
-  Poller.set t.poller fd ~read:true ~write:false
 
 let rec accept_ready t =
   if (not (draining t)) && Hashtbl.length t.conns < t.max_conns then
@@ -325,7 +345,7 @@ let flush_out c =
   while !continue && not (Queue.is_empty c.c_out) do
     let head = Queue.peek c.c_out in
     let len = String.length head - c.c_out_off in
-    match Unix.write_substring c.c_fd head c.c_out_off len with
+    match Unix.write_substring c.c_wfd head c.c_out_off len with
     | n ->
         c.c_out_bytes <- c.c_out_bytes - n;
         if n = len then begin
@@ -348,6 +368,11 @@ let flush_out c =
 
 (* --- lifecycle --- *)
 
+let release t fd =
+  Poller.remove t.poller fd;
+  close_fd fd;
+  Hashtbl.remove t.by_fd fd
+
 let reap t =
   let victims =
     Hashtbl.fold
@@ -367,11 +392,11 @@ let reap t =
     (fun c ->
       t.inboxed <- t.inboxed - Queue.length c.c_inbox;
       Queue.clear c.c_inbox;
-      Poller.remove t.poller c.c_fd;
-      close_fd c.c_fd;
-      Hashtbl.remove t.by_fd c.c_fd;
+      release t c.c_fd;
+      if c.c_wfd <> c.c_fd then release t c.c_wfd;
       Hashtbl.remove t.conns c.c_id)
-    victims
+    victims;
+  if t.lifeline && Hashtbl.length t.conns = 0 then Atomic.set t.draining true
 
 let readable_conn t c =
   (not c.c_dead) && (not c.c_read_eof) && (not (draining t))
@@ -401,11 +426,8 @@ let update_interest t ~now =
     (fun _ c ->
       let want_r = readable_conn t c in
       let want_w = (not c.c_dead) && c.c_out_bytes > 0 in
-      if want_r <> c.c_want_r || want_w <> c.c_want_w then begin
-        Poller.set t.poller c.c_fd ~read:want_r ~write:want_w;
-        c.c_want_r <- want_r;
-        c.c_want_w <- want_w
-      end)
+      if want_r <> c.c_want_r || want_w <> c.c_want_w then
+        set_interest t c ~read:want_r ~write:want_w)
     t.conns
 
 let teardown t =

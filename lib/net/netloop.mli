@@ -58,7 +58,7 @@ type sink = {
 }
 
 type config = {
-  max_frame : int;   (** per-line bound, as the stdio transport's *)
+  max_frame : int;   (** per-line bound ({!Framing.create}) *)
   max_conns : int;   (** stop accepting while this many are live; [0]
                          derives the bound from the active poller
                          ({!Poller.default_max_conns}) *)
@@ -80,6 +80,7 @@ val create :
   ?backend:Poller.backend ->
   ?listen:Unix.file_descr ->
   ?dispatch:(Unix.file_descr -> bool) ->
+  ?conn:Unix.file_descr * Unix.file_descr ->
   sink ->
   t
 (** [backend] defaults to [Poller.Select] (the caller resolves
@@ -90,7 +91,15 @@ val create :
     a listener the loop serves adopted connections only ({!offer}).
     [dispatch], called on each freshly accepted descriptor, returns
     [true] when it handed the fd to another shard ([false] = this loop
-    keeps it). *)
+    keeps it).
+
+    [conn = (read, write)] pre-adopts one connection that reads requests
+    from [read] and writes replies to [write] — [chaoscheck serve]'s
+    stdin/stdout; a socket would pass the same fd twice. The loop owns
+    both descriptors (switched to non-blocking mode, closed when the
+    connection is reaped) and begins its drain once no connection is
+    left, so {!run} returns when that peer's stream has been answered —
+    or when the peer went away. *)
 
 val step : ?timeout:float -> t -> bool
 (** One iteration: wait on the poller, accept, adopt offered fds, read,

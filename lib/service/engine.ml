@@ -7,6 +7,7 @@ module Certmsg = Chaoschain_tlssim.Certmsg
 module Pipeline = Chaoschain_measurement.Pipeline
 module Scanner = Chaoschain_measurement.Scanner
 module Hex = Chaoschain_crypto.Hex
+module Json = Chaoschain_report.Json
 
 type env = {
   diff_env : Difftest.env;
@@ -21,9 +22,9 @@ type t = {
   cache : string Lru.t;          (* options+chain key -> verdict JSON bytes *)
   metrics : Metrics.t;
   queue : (int * string) Queue.t;
-      (* admitted raw frames, tagged with the submitter's connection id
-         (0 for the serial transports); the tag rides through drain so a
-         multi-connection front end can route each reply home *)
+      (* admitted raw frames, tagged with the submitter's connection id;
+         the tag rides through drain so a multi-connection front end can
+         route each reply home *)
   queue_capacity : int;
   batch : int;
   pool : Pipeline.Pool.t;
@@ -507,8 +508,6 @@ let submit t ~tag frame =
     `Admitted
   end
 
-let admit t frame = submit t ~tag:0 frame
-
 let overlong_response t =
   Metrics.incr_errors t.metrics;
   Protocol.error_response ~id:None ~code:"overlong"
@@ -543,41 +542,8 @@ let drain_tagged t =
       in
       List.map2 (fun (tag, _) response -> (tag, response)) tagged responses
 
-let drain t = List.map snd (drain_tagged t)
-
 let handle_frame t frame =
   let seen = Hashtbl.create 1 in
   match process_slots t [ prepare t seen frame ] with
   | [ response ] -> response
   | _ -> assert false
-
-let serve (type c) t (module T : Transport.S with type conn = c) (conn : c) =
-  let eof = ref false in
-  (* Read everything immediately available, admitting (or rejecting) each
-     frame; with [block:true] wait for at least one frame first. *)
-  let rec fill ~block =
-    if not !eof then
-      match T.recv conn ~block with
-      | `Eof -> eof := true
-      | `Empty -> ()
-      | `Overlong ->
-          (* The transport already dropped the line; answer with a
-             structured error instead of buffering without bound. *)
-          T.send conn (overlong_response t);
-          fill ~block:false
-      | `Frame frame ->
-          (match admit t frame with
-          | `Admitted -> ()
-          | `Rejected response -> T.send conn response);
-          fill ~block:false
-  in
-  let rec loop () =
-    if Queue.is_empty t.queue && not !eof then fill ~block:true;
-    fill ~block:false;
-    match drain t with
-    | [] -> if not !eof then loop ()
-    | responses ->
-        List.iter (T.send conn) responses;
-        loop ()
-  in
-  loop ()

@@ -69,11 +69,11 @@ val warm : t -> (string * Cert.t list) list -> int
     engine's replies are byte-identical to a cold one's; the warm fill
     surfaces as cache hits on later requests. *)
 
-val set_store_stats : t -> (string * Json.t) list -> unit
+val set_store_stats : t -> (string * Chaoschain_report.Json.t) list -> unit
 (** Attach a ["store"] block (e.g. corpus record counts, Merkle root, warm
     fill) that {!stats_json} will append to every stats reply. *)
 
-val set_experiments : t -> Json.t -> unit
+val set_experiments : t -> Chaoschain_report.Json.t -> unit
 (** Attach an ["experiments"] block — the warm corpus's compliance tables
     rendered as report-IR JSON ([Report.to_json] per table) — appended to
     every stats reply after the store block. *)
@@ -97,16 +97,13 @@ val copy_cache : t -> t -> unit
     [dst] (least-recently-used first, preserving recency) — how one
     [--warm-store] pass fills every shard without recomputing. *)
 
-val admit : t -> string -> [ `Admitted | `Rejected of string ]
+val submit : t -> tag:int -> string -> [ `Admitted | `Rejected of string ]
 (** Offer one raw frame to the admission queue. [`Rejected response] is
     returned (and counted) when the queue already holds [queue_capacity]
-    frames; the response is a ready-to-send ["overloaded"] error.
-    Equivalent to [submit ~tag:0]. *)
-
-val submit : t -> tag:int -> string -> [ `Admitted | `Rejected of string ]
-(** As {!admit}, but the frame carries an opaque [tag] that
-    {!drain_tagged} returns with its response — how the netd event loop
-    routes each reply back to the connection that sent the request. *)
+    frames; the response is a ready-to-send ["overloaded"] error. The
+    opaque [tag] comes back with the frame's response from
+    {!drain_tagged} — how the netd event loop routes each reply back to
+    the connection that sent the request. *)
 
 val pending : t -> int
 (** Frames currently queued. *)
@@ -118,37 +115,29 @@ val can_admit : t -> bool
     A readiness-driven front end polls this to hold parsed frames (and
     pause reading) instead of drawing ["overloaded"] rejections. *)
 
-val drain : t -> string list
-(** Process one micro-batch from the queue and return the responses in
-    request order. At most [batch] checks per call; a [stats] request acts
-    as a batch barrier so its reply reflects every request admitted before
-    it. Empty list when the queue is empty. *)
-
 val drain_tagged : t -> (int * string) list
-(** As {!drain}, with each response paired with the tag its request was
-    submitted under. *)
+(** Process one micro-batch from the queue and return the responses in
+    request order, each paired with the tag its request was submitted
+    under. At most [batch] checks per call; a [stats] request acts as a
+    batch barrier so its reply reflects every request admitted before it.
+    Empty list when the queue is empty. *)
 
 val overlong_response : t -> string
-(** The canonical reply for a request line past the transport's frame
-    bound; counts one error. Shared by the serial serve loop and netd. *)
+(** The canonical reply for a request line past the framing layer's
+    [max_frame] bound; counts one error. *)
 
 val handle_frame : t -> string -> string
-(** Convenience: admit-free, single-request processing (used by tests). *)
+(** Admit-free, serial processing of one request: the byte-identity
+    oracle that tests and the benchmark hold served replies against. *)
 
 val metrics : t -> Metrics.snapshot
 val cache_size : t -> int
 val cache_capacity : t -> int
 val cache_evictions : t -> int
 
-val stats_json : t -> Json.t
+val stats_json : t -> Chaoschain_report.Json.t
 (** The payload of a [stats] reply: counters, latency histogram, cache
     occupancy and the engine's configured bounds. *)
-
-val serve : t -> (module Transport.S with type conn = 'c) -> 'c -> unit
-(** Run the request loop until EOF: read greedily while frames are
-    immediately available (rejecting past the queue bound), then drain
-    micro-batches and reply. Returns after the final queued request is
-    answered. *)
 
 val shutdown : t -> unit
 (** Join the worker pool. *)

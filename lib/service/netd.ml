@@ -139,21 +139,13 @@ let reuseport_group addr n =
 
 (* Run the shard loops to completion: loop 0 on this Domain, the rest on
    spawned Domains, one set of signal handlers draining them all (stop is
-   Domain-safe). Every shard is joined before the sockets' address is
-   unlinked and the aggregated stats are returned. *)
-let run_loops loops addr =
+   Domain-safe). Every shard is joined before the aggregated stats are
+   returned. *)
+let run_loops loops =
   let stop_all _ = List.iter Netloop.stop loops in
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle stop_all) in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle stop_all) in
-  let restore () =
-    Sys.set_signal Sys.sigpipe old_pipe;
-    Sys.set_signal Sys.sigterm old_term;
-    Sys.set_signal Sys.sigint old_int;
-    match addr with
-    | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Tcp _ -> ()
-  in
   let domains =
     List.map
       (fun loop ->
@@ -181,12 +173,37 @@ let run_loops loops addr =
         | None, e -> e)
       main_exn domains
   in
-  restore ();
+  Sys.set_signal Sys.sigpipe old_pipe;
+  Sys.set_signal Sys.sigterm old_term;
+  Sys.set_signal Sys.sigint old_int;
   match first_exn with
   | Some e -> raise e
-  | None -> Ok (Netloop.aggregate_stats (List.map Netloop.stats loops))
+  | None -> Netloop.aggregate_stats (List.map Netloop.stats loops)
+
+let serve_stdio ?config ?(input = Unix.stdin) ?(output = Unix.stdout) engine =
+  (* The loop closes what it owns; dups leave the caller's descriptors
+     open. Always select: epoll rejects a regular file ([serve < file]). *)
+  let conn = (Unix.dup ~cloexec:true input, Unix.dup ~cloexec:true output) in
+  let loop = Netloop.create ?config ~conn (sink engine) in
+  Fun.protect
+    ~finally:(fun () ->
+      (* O_NONBLOCK lives on the file description, which the parent
+         shell shares *)
+      List.iter
+        (fun fd -> try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
+        [ input; output ])
+    (fun () -> run_loops [ loop ])
 
 let serve_listen ?config ?(backend = Poller.Select) ~engines addr =
+  let run loops =
+    (* a Unix socket path is unlinked on the way out *)
+    Fun.protect
+      ~finally:(fun () ->
+        match addr with
+        | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
+        | Tcp _ -> ())
+      (fun () -> Ok (run_loops loops))
+  in
   match engines with
   | [] -> Error "serve_listen: at least one engine required"
   | [ engine ] -> (
@@ -194,18 +211,17 @@ let serve_listen ?config ?(backend = Poller.Select) ~engines addr =
       match listen_socket addr with
       | Error _ as e -> e
       | Ok listen ->
-          run_loops [ Netloop.create ?config ~backend ~listen (sink engine) ] addr)
+          run [ Netloop.create ?config ~backend ~listen (sink engine) ])
   | first :: rest as engines -> (
       Engine.link_shards engines;
       let n = List.length engines in
       match reuseport_group addr n with
       | Some listeners ->
-          run_loops
+          run
             (List.map2
                (fun engine listen ->
                  Netloop.create ?config ~backend ~listen (sink engine))
                engines listeners)
-            addr
       | None -> (
           (* shard 0 owns the one listener and deals accepted connections
              round-robin; a shard that refuses (draining, budget spent)
@@ -228,4 +244,4 @@ let serve_listen ?config ?(backend = Poller.Select) ~engines addr =
               let loop0 =
                 Netloop.create ?config ~backend ~listen ~dispatch (sink first)
               in
-              run_loops (loop0 :: Array.to_list followers) addr))
+              run (loop0 :: Array.to_list followers)))

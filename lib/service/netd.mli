@@ -1,11 +1,12 @@
 (** netd — wiring chaind's engine into the {!Chaoschain_net.Netloop}
     event loop: address parsing, listener/dial socket plumbing, the engine
-    {!Chaoschain_net.Netloop.sink}, and the signal-aware serve runner
-    behind [chaoscheck serve --listen].
+    {!Chaoschain_net.Netloop.sink}, and the signal-aware runner behind
+    [chaoscheck serve] — with [--listen] and on stdin/stdout alike.
 
-    The engine is shared with the serial stdio path, so a verdict computed
-    for a frame that arrived over netd is byte-identical to the same frame
-    fed through [serve]'s stdin — same cache, same batcher, same bytes. *)
+    There is one serving stack: the stdio path is a single pre-adopted
+    connection on a listener-less loop, so a frame fed through [serve]'s
+    stdin takes the same framing, admission pacing, batcher and cache as
+    one arriving over a socket, and its verdict is byte-identical. *)
 
 type addr =
   | Unix_path of string  (** a filesystem socket path *)
@@ -57,7 +58,28 @@ val serve_listen :
     choice with {!Chaoschain_net.Poller.choose} first.
 
     Ignores [SIGPIPE] for the process (client disconnects must surface as
-    [EPIPE], not kill chaind) and restores the previous TERM/INT
+    [EPIPE], not kill chaind) and restores the previous PIPE/TERM/INT
     dispositions before returning. A Unix socket path is unlinked on the
     way out. Returns the shards' stats summed
     ({!Chaoschain_net.Netloop.aggregate_stats}). *)
+
+val serve_stdio :
+  ?config:Chaoschain_net.Netloop.config ->
+  ?input:Unix.file_descr ->
+  ?output:Unix.file_descr ->
+  Engine.t ->
+  Chaoschain_net.Netloop.stats
+(** Serve one connection that reads requests from [input] (default
+    stdin) and writes replies to [output] (default stdout) until [input]
+    reaches EOF and every reply is written, the reader of [output] goes
+    away, or [SIGTERM]/[SIGINT] triggers the drain (stop reading, answer
+    what was already read). Runs on the same signal-aware runner as
+    {!serve_listen}, always on the [Select] backend ([epoll] rejects a
+    regular-file stdin).
+
+    [--queue] paces reading here exactly as on a socket: parsed frames
+    wait for room in the admission queue instead of drawing
+    ["overloaded"] replies, and replies leave in request order. The loop
+    works on duplicates of the two descriptors, which it closes; before
+    returning, blocking mode is restored on [input] and [output], whose
+    file descriptions the parent process shares. *)

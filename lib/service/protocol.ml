@@ -1,6 +1,7 @@
 open Chaoschain_core
 open Chaoschain_pki
 module Certmsg = Chaoschain_tlssim.Certmsg
+module Json = Chaoschain_report.Json
 
 type store_choice = Union | Program of Root_store.program
 

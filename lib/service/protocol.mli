@@ -81,4 +81,4 @@ val verdict_response : id:string option -> verdict:string -> string
 (** [verdict] is an already-encoded JSON object; it is embedded verbatim so
     a cache hit reuses the exact bytes of the original miss. *)
 
-val stats_response : id:string option -> Json.t -> string
+val stats_response : id:string option -> Chaoschain_report.Json.t -> string

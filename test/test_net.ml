@@ -557,7 +557,7 @@ let netloop_sharded_byte_identity () =
             agg.Netloop.frames;
           Alcotest.(check int) "no one left live" 0 agg.Netloop.live_conns;
           (* linked engines advertise the group in stats replies *)
-          let stats_text = S.Json.to_string (Engine.stats_json e0) in
+          let stats_text = Chaoschain_report.Json.to_string (Engine.stats_json e0) in
           let contains hay needle =
             let nl = String.length needle and hl = String.length hay in
             let rec go i =

@@ -1,14 +1,15 @@
 (* chaind (lib/service): JSON codec, protocol round-trip, LRU bounds and
    eviction order, verdict-cache hit/miss byte-identity, micro-batch
-   coalescing, jobs-invariance, admission-queue overload, and the serve loop
-   over the in-memory transport. *)
+   coalescing, jobs-invariance, admission-queue overload, and the stdio
+   serve path (one Netloop connection) over pipes and files. *)
 
 open Chaoschain_measurement
 open Chaoschain_pki
 module S = Chaoschain_service
-module Json = S.Json
+module Json = Chaoschain_report.Json
 module Protocol = S.Protocol
 module Engine = S.Engine
+module Netd = S.Netd
 module Certmsg = Chaoschain_tlssim.Certmsg
 module Base64 = Chaoschain_deployment.Base64
 
@@ -386,11 +387,11 @@ let run_batch ~jobs =
   let t = Engine.create ~env:(make_env ()) ~batch:8 ~jobs () in
   List.iter
     (fun f ->
-      match Engine.admit t f with
+      match Engine.submit t ~tag:0 f with
       | `Admitted -> ()
       | `Rejected _ -> Alcotest.fail "unexpected rejection")
     (batch_frames ());
-  let responses = Engine.drain t in
+  let responses = List.map snd (Engine.drain_tagged t) in
   let m = Engine.metrics t in
   Engine.shutdown t;
   (responses, m)
@@ -427,9 +428,9 @@ let engine_jobs_invariant () =
 let engine_overload_rejects () =
   let t = Engine.create ~env:(make_env ()) ~queue_capacity:2 ~batch:8 () in
   let frame i = check_frame ~id:(Printf.sprintf "o%d" i) ~scenario:"fixture" () in
-  (match Engine.admit t (frame 1) with `Admitted -> () | _ -> Alcotest.fail "1st");
-  (match Engine.admit t (frame 2) with `Admitted -> () | _ -> Alcotest.fail "2nd");
-  (match Engine.admit t (frame 3) with
+  (match Engine.submit t ~tag:0 (frame 1) with `Admitted -> () | _ -> Alcotest.fail "1st");
+  (match Engine.submit t ~tag:0 (frame 2) with `Admitted -> () | _ -> Alcotest.fail "2nd");
+  (match Engine.submit t ~tag:0 (frame 3) with
   | `Rejected response ->
       expect_error response "overloaded";
       (match response_field response "id" with
@@ -437,19 +438,80 @@ let engine_overload_rejects () =
       | _ -> Alcotest.fail "no id in rejection")
   | `Admitted -> Alcotest.fail "queue bound not enforced");
   Alcotest.(check int) "two pending" 2 (Engine.pending t);
-  let responses = Engine.drain t in
+  let responses = List.map snd (Engine.drain_tagged t) in
   Alcotest.(check int) "both served after drain" 2 (List.length responses);
   Alcotest.(check int) "queue empty" 0 (Engine.pending t);
   (* capacity is free again *)
-  (match Engine.admit t (frame 4) with `Admitted -> () | _ -> Alcotest.fail "4th");
+  (match Engine.submit t ~tag:0 (frame 4) with `Admitted -> () | _ -> Alcotest.fail "4th");
   let m = Engine.metrics t in
   Alcotest.(check int) "one reject" 1 m.S.Metrics.rejects;
   Alcotest.(check int) "admissions counted" 3 m.S.Metrics.requests;
   Engine.shutdown t
 
-(* --- serve loop over the in-memory transport --- *)
+(* --- the stdio serve path: one Netloop connection --- *)
 
-let serve_loop_mem () =
+let write_all fd s =
+  let len = String.length s in
+  let rec go off =
+    if off < len then go (off + Unix.write_substring fd s off (len - off))
+  in
+  go 0
+
+let read_all fd =
+  let buf = Buffer.create 65536 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+  in
+  go ()
+
+let lines s = List.filter (( <> ) "") (String.split_on_char '\n' s)
+
+(* Serve [chunks] (written one [write] each) through [Netd.serve_stdio] on
+   a pipe pair: a Domain feeds the input pipe and closes it, another
+   collects the replies, so neither side can fill a pipe and stall. *)
+let serve_pipes ?config t chunks =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Domain.spawn (fun () ->
+        List.iter (write_all in_w) chunks;
+        Unix.close in_w)
+  in
+  let reader = Domain.spawn (fun () -> read_all out_r) in
+  let stats = Netd.serve_stdio ?config ~input:in_r ~output:out_w t in
+  Unix.close out_w;
+  Domain.join writer;
+  let out = Domain.join reader in
+  Unix.close in_r;
+  Unix.close out_r;
+  (stats, lines out)
+
+let frames_text frames = String.concat "" (List.map (fun f -> f ^ "\n") frames)
+
+let stats_int stats k =
+  match Json.member k stats with
+  | Some (Json.Int i) -> i
+  | _ -> Alcotest.fail ("stats lacks " ^ k)
+
+let stats_payload reply =
+  match response_field reply "stats" with
+  | Some s -> s
+  | None -> Alcotest.fail ("no stats in " ^ reply)
+
+let reply_id reply =
+  match response_field reply "id" with
+  | Some (Json.String id) -> id
+  | _ -> Alcotest.fail ("no id in " ^ reply)
+
+let with_max_frame max_frame =
+  { Chaoschain_net.Netloop.default_config with
+    Chaoschain_net.Netloop.max_frame }
+
+let serve_loop_stdio () =
   let t = Engine.create ~env:(make_env ()) ~batch:2 ~jobs:2 () in
   let frames =
     [ check_frame ~id:"m1" ~scenario:"fixture" ();
@@ -457,25 +519,15 @@ let serve_loop_mem () =
       "garbage frame";
       Json.to_string (Json.Obj [ ("id", Json.String "m3"); ("op", Json.String "stats") ]) ]
   in
-  let conn = S.Transport.Mem.make frames in
-  Engine.serve t (module S.Transport.Mem) conn;
+  let _, out = serve_pipes t [ frames_text frames ] in
   Engine.shutdown t;
-  let out = S.Transport.Mem.output conn in
   Alcotest.(check int) "four replies" 4 (List.length out);
   (* stats is the last reply and reflects the whole stream *)
-  let stats = List.nth out 3 in
-  (match response_field stats "stats" with
-  | Some s ->
-      let get k =
-        match Json.member k s with
-        | Some (Json.Int i) -> i
-        | _ -> Alcotest.fail ("stats lacks " ^ k)
-      in
-      Alcotest.(check int) "hits" 1 (get "hits");
-      Alcotest.(check int) "misses" 1 (get "misses");
-      Alcotest.(check int) "errors" 1 (get "errors");
-      Alcotest.(check int) "rejects" 0 (get "rejects")
-  | None -> Alcotest.fail ("no stats in " ^ stats));
+  let stats = stats_payload (List.nth out 3) in
+  Alcotest.(check int) "hits" 1 (stats_int stats "hits");
+  Alcotest.(check int) "misses" 1 (stats_int stats "misses");
+  Alcotest.(check int) "errors" 1 (stats_int stats "errors");
+  Alcotest.(check int) "rejects" 0 (stats_int stats "rejects");
   match out with
   | r1 :: r2 :: rbad :: _ ->
       Alcotest.(check string) "m1/m2 verdicts identical"
@@ -483,6 +535,35 @@ let serve_loop_mem () =
         (Json.to_string (Option.get (response_field r2 "verdict")));
       expect_error rbad "malformed_frame"
   | _ -> Alcotest.fail "reply order"
+
+(* Regression: the stdio path used to reject every frame past the
+   admission queue with "overloaded" (a 20,001-line pipe at --queue 64
+   drew ~19,900 rejections, the trailing stats probe among them). As a
+   Netloop connection it pauses reading instead: nothing is rejected,
+   replies leave in request order, and the final stats sees every check. *)
+let stdio_paces_queue () =
+  let t = Engine.create ~env:(make_env ()) ~queue_capacity:4 ~jobs:1 () in
+  let n = 500 in
+  let frames =
+    List.init n (fun i ->
+        check_frame ~id:(Printf.sprintf "p%d" i) ~scenario:"fixture" ())
+    @ [ {|{"id":"last","op":"stats"}|} ]
+  in
+  let stats, out = serve_pipes t [ frames_text frames ] in
+  Engine.shutdown t;
+  Alcotest.(check int) "every frame answered" (n + 1) (List.length out);
+  Alcotest.(check int) "no overloaded replies" 0
+    (List.length
+       (List.filter
+          (fun r -> response_field r "code" = Some (Json.String "overloaded"))
+          out));
+  Alcotest.(check (list string)) "replies in request order"
+    (List.init n (Printf.sprintf "p%d") @ [ "last" ])
+    (List.map reply_id out);
+  let s = stats_payload (List.nth out n) in
+  Alcotest.(check int) "stats counts every check" n (stats_int s "checks");
+  Alcotest.(check int) "stats counts no rejects" 0 (stats_int s "rejects");
+  Alcotest.(check int) "loop frames" (n + 1) stats.Chaoschain_net.Netloop.frames
 
 (* --- pipeline pool (tentpole refactor): reuse across batches --- *)
 
@@ -593,60 +674,65 @@ let engine_scripted_clock () =
   Alcotest.(check (float 1e-6)) "max from the script" 10.0 m.S.Metrics.lat_max_ms;
   Alcotest.(check bool) "script fully consumed" true (!script = [])
 
-(* --- satellite: bounded request lines --- *)
+(* --- bounded request lines on the stdio path --- *)
 
-let transport_overlong_mem () =
-  let conn =
-    S.Transport.Mem.make ~max_frame:8 [ "short"; "waaaay too long"; "ok" ]
+(* Overlong replies are written as soon as the bound is crossed, so they
+   can overtake replies still being computed; the other replies keep
+   request order among themselves. *)
+let split_overlong out =
+  List.partition
+    (fun r -> response_field r "code" = Some (Json.String "overlong"))
+    out
+
+(* [serve < file]: a regular-file stdin, which the select backend serves
+   (epoll would refuse it), with replies going to a regular file. *)
+let overlong_file_stdin () =
+  let t = Engine.create ~env:(make_env ()) () in
+  let input = Filename.temp_file "chaind" ".in" in
+  let output = Filename.temp_file "chaind" ".out" in
+  Out_channel.with_open_bin input (fun oc ->
+      output_string oc (frames_text [ "short"; "waaaay too long"; "ok" ]));
+  let in_fd = Unix.openfile input [ Unix.O_RDONLY ] 0 in
+  let out_fd = Unix.openfile output [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let _ =
+    Netd.serve_stdio ~config:(with_max_frame 8) ~input:in_fd ~output:out_fd t
   in
-  let next () = S.Transport.Mem.recv conn ~block:false in
-  (match next () with `Frame "short" -> () | _ -> Alcotest.fail "first frame");
-  (match next () with `Overlong -> () | _ -> Alcotest.fail "overlong frame");
-  (match next () with `Frame "ok" -> () | _ -> Alcotest.fail "after overlong");
-  match next () with `Eof -> () | _ -> Alcotest.fail "eof"
+  Unix.close in_fd;
+  Unix.close out_fd;
+  Engine.shutdown t;
+  let out = lines (In_channel.with_open_bin output In_channel.input_all) in
+  Sys.remove input;
+  Sys.remove output;
+  let overlong, rest = split_overlong out in
+  Alcotest.(check int) "one overlong reply" 1 (List.length overlong);
+  (* "short" and "ok" fit the bound and reach the parser *)
+  Alcotest.(check int) "two framed replies" 2 (List.length rest);
+  List.iter (fun r -> expect_error r "malformed_frame") rest
 
-let transport_overlong_fd () =
-  let r, w = Unix.pipe () in
-  let devnull = open_out Filename.null in
-  let conn = S.Transport.Fd.make ~max_frame:32 r devnull in
-  let wr s = ignore (Unix.write_substring w s 0 (String.length s)) in
+let overlong_pipe () =
+  let t = Engine.create ~env:(make_env ()) () in
   (* one line far past the bound, then a short one, then an overlong line
      assembled from two writes, then a short tail *)
-  wr (String.make 200 'x');
-  wr "\n";
-  wr "hello\n";
-  wr (String.make 40 'y');
-  wr (String.make 40 'y');
-  wr "\ntail\n";
-  Unix.close w;
-  let next () = S.Transport.Fd.recv conn ~block:true in
-  (match next () with
-  | `Overlong -> ()
-  | _ -> Alcotest.fail "long line not reported");
-  (match next () with
-  | `Frame "hello" -> ()
-  | _ -> Alcotest.fail "short line after overlong");
-  (match next () with
-  | `Overlong -> ()
-  | _ -> Alcotest.fail "split overlong not reported");
-  (match next () with
-  | `Frame "tail" -> ()
-  | _ -> Alcotest.fail "tail after second overlong");
-  (match next () with `Eof -> () | _ -> Alcotest.fail "eof");
-  (* a closed connection stays closed *)
-  (match next () with `Eof -> () | _ -> Alcotest.fail "eof is sticky");
-  close_out devnull;
-  Unix.close r
+  let _, out =
+    serve_pipes ~config:(with_max_frame 32) t
+      [ String.make 200 'x'; "\n"; {|{"id":"a","op":"stats"}|} ^ "\n";
+        String.make 40 'y'; String.make 40 'y';
+        "\n" ^ {|{"id":"b","op":"stats"}|} ^ "\n" ]
+  in
+  Engine.shutdown t;
+  let overlong, rest = split_overlong out in
+  Alcotest.(check int) "both overlong lines reported" 2 (List.length overlong);
+  Alcotest.(check (list string)) "framing resumes after each" [ "a"; "b" ]
+    (List.map reply_id rest)
 
 let serve_overlong_reply () =
   let t = Engine.create ~env:(make_env ()) () in
   let frames =
     [ String.make 300 'z'; check_frame ~id:"s1" ~scenario:"fixture" () ]
   in
-  let conn = S.Transport.Mem.make ~max_frame:200 frames in
-  Engine.serve t (module S.Transport.Mem) conn;
+  let _, out = serve_pipes ~config:(with_max_frame 200) t [ frames_text frames ] in
   Engine.shutdown t;
-  (match S.Transport.Mem.output conn with
+  (match out with
   | [ r1; r2 ] ->
       expect_error r1 "overlong";
       (match response_field r2 "ok" with
@@ -657,37 +743,34 @@ let serve_overlong_reply () =
   Alcotest.(check int) "overlong counted as error" 1 m.S.Metrics.errors;
   Alcotest.(check int) "check still served" 1 m.S.Metrics.misses
 
-(* --- fd transport: peer disconnect must not kill the process --- *)
+(* --- stdio path: the reader of stdout going away must not kill the
+   process (the runner ignores SIGPIPE, so the write fails with EPIPE) --- *)
 
-let transport_fd_disconnect () =
-  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  Fun.protect
-    ~finally:(fun () -> ignore (Sys.signal Sys.sigpipe prev))
-    (fun () ->
-      let in_r, in_w = Unix.pipe () in
-      let out_r, out_w = Unix.pipe () in
-      let out = Unix.out_channel_of_descr out_w in
-      let conn = S.Transport.Fd.make in_r out in
-      (* happy path first: a reply reaches the peer *)
-      S.Transport.Fd.send conn "first";
-      let buf = Bytes.create 64 in
-      let n = Unix.read out_r buf 0 64 in
-      Alcotest.(check string) "delivered" "first\n" (Bytes.sub_string buf 0 n);
-      (* the peer hangs up; with SIGPIPE ignored the next write raises
-         EPIPE, which must mark the connection dead instead of escaping *)
-      Unix.close out_r;
-      S.Transport.Fd.send conn "into the void";
-      S.Transport.Fd.send conn "still no crash";
-      (match S.Transport.Fd.recv conn ~block:false with
-      | `Eof -> ()
-      | _ -> Alcotest.fail "disconnected conn must answer Eof");
-      ignore (Unix.write_substring in_w "late\n" 0 5);
-      (match S.Transport.Fd.recv conn ~block:false with
-      | `Eof -> ()
-      | _ -> Alcotest.fail "Eof is sticky after disconnect");
-      Unix.close in_r;
-      Unix.close in_w;
-      close_out_noerr out)
+let stdio_disconnect () =
+  let t = Engine.create ~env:(make_env ()) () in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  (* the peer hangs up before the reply is written; stdin stays open, so
+     only the dead write side can end the loop *)
+  Unix.close out_r;
+  write_all in_w (check_frame ~id:"d1" ~scenario:"fixture" () ^ "\n");
+  (* with the default disposition, a runner that did not ignore SIGPIPE
+     would kill this test process *)
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_default in
+  let stats, after =
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+      (fun () ->
+        let stats = Netd.serve_stdio ~input:in_r ~output:out_w t in
+        (stats, Sys.signal Sys.sigpipe Sys.Signal_default))
+  in
+  Engine.shutdown t;
+  List.iter Unix.close [ in_r; in_w; out_w ];
+  Alcotest.(check int) "frame was read" 1 stats.Chaoschain_net.Netloop.frames;
+  Alcotest.(check int) "connection reaped" 0
+    stats.Chaoschain_net.Netloop.live_conns;
+  Alcotest.(check bool) "SIGPIPE disposition restored" true
+    (after = Sys.Signal_default)
 
 (* --- metrics: tail quantiles --- *)
 
@@ -732,7 +815,7 @@ let engine_tagged_submit () =
       | _ -> Alcotest.fail "no id in tagged reply")
     replies;
   (* stats replies surface the new tail quantiles *)
-  (match Engine.drain t with
+  (match Engine.drain_tagged t with
   | [] -> ()
   | _ -> Alcotest.fail "queue should be empty");
   (match Engine.submit t ~tag:7 "{\"id\":\"s\",\"op\":\"stats\"}" with
@@ -777,15 +860,17 @@ let suite =
     Alcotest.test_case "micro-batch coalescing" `Slow engine_batch_coalesces;
     Alcotest.test_case "jobs-invariant responses" `Slow engine_jobs_invariant;
     Alcotest.test_case "overload rejection" `Slow engine_overload_rejects;
-    Alcotest.test_case "serve loop (mem transport)" `Slow serve_loop_mem;
+    Alcotest.test_case "serve loop (stdio connection)" `Slow serve_loop_stdio;
+    Alcotest.test_case "stdio paces past the queue bound" `Slow
+      stdio_paces_queue;
     Alcotest.test_case "pipeline pool reusable" `Quick pool_reusable;
     Alcotest.test_case "lru degenerate capacities" `Quick lru_degenerate_capacities;
     QCheck_alcotest.to_alcotest qcheck_json_astral;
     Alcotest.test_case "scripted engine clock" `Slow engine_scripted_clock;
-    Alcotest.test_case "overlong line (mem transport)" `Quick transport_overlong_mem;
-    Alcotest.test_case "overlong line (fd transport)" `Quick transport_overlong_fd;
+    Alcotest.test_case "overlong line (file stdin)" `Slow overlong_file_stdin;
+    Alcotest.test_case "overlong line (fd transport)" `Slow overlong_pipe;
     Alcotest.test_case "overlong reply from serve" `Slow serve_overlong_reply;
-    Alcotest.test_case "fd transport survives disconnect" `Quick
-      transport_fd_disconnect;
+    Alcotest.test_case "fd transport survives disconnect" `Slow
+      stdio_disconnect;
     Alcotest.test_case "metrics tail quantiles" `Quick metrics_quantiles;
     Alcotest.test_case "tagged submit/drain" `Slow engine_tagged_submit ]

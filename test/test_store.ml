@@ -18,6 +18,7 @@ module Sha256 = Chaoschain_crypto.Sha256
 module Hex = Chaoschain_crypto.Hex
 module S = Chaoschain_service
 module Engine = S.Engine
+module Json = Chaoschain_report.Json
 
 let tmp_dir =
   let counter = ref 0 in
@@ -748,13 +749,13 @@ let corpus_warm_engine () =
       Alcotest.(check int) "no misses yet" 0 m.S.Metrics.misses;
       (* first live request for a stored domain is served from the cache *)
       let frame =
-        S.Json.to_string
-          (S.Json.Obj
-             [ ("id", S.Json.String "w1");
-               ("op", S.Json.String "check");
-               ("domain", S.Json.String r.Population.domain);
+        Json.to_string
+          (Json.Obj
+             [ ("id", Json.String "w1");
+               ("op", Json.String "check");
+               ("domain", Json.String r.Population.domain);
                ( "pem",
-                 S.Json.String
+                 Json.String
                    (Chaoschain_deployment.Pem.encode_certs r.Population.chain)
                ) ])
       in
@@ -762,10 +763,10 @@ let corpus_warm_engine () =
       let m = Engine.metrics t in
       Alcotest.(check int) "hit from warm fill" 1 m.S.Metrics.hits;
       Alcotest.(check int) "no miss" 0 m.S.Metrics.misses;
-      (match S.Json.of_string response with
+      (match Json.of_string response with
       | Ok j -> (
-          match S.Json.member "ok" j with
-          | Some (S.Json.Bool true) -> ()
+          match Json.member "ok" j with
+          | Some (Json.Bool true) -> ()
           | _ -> Alcotest.fail "warm reply not ok")
       | Error e -> Alcotest.fail e);
       (* a zero-capacity engine accepts but skips the warm fill *)
