@@ -55,25 +55,6 @@ let with_lab scale f =
     `Error (true, Printf.sprintf "--scale must be in (0, 1] (got %g)" scale)
   else f (Population.generate ~scale ())
 
-let scenario_names =
-  List.filter_map
-    (fun (s, n) ->
-      if n > 0 then Some (Calibration.scenario_to_string s, s) else None)
-    Calibration.ledger
-
-let substring_match needle (name, _) =
-  let lower = String.lowercase_ascii needle in
-  let n = String.lowercase_ascii name in
-  let ln = String.length lower and nn = String.length n in
-  let rec contains i =
-    i + ln <= nn && (String.sub n i ln = lower || contains (i + 1))
-  in
-  contains 0
-
-let find_record pop scenario =
-  Array.to_list pop.Population.domains
-  |> List.find_opt (fun r -> r.Population.scenario = scenario)
-
 (* --- scenario --- *)
 
 let scenario_cmd =
@@ -87,24 +68,23 @@ let scenario_cmd =
   in
   let run list_them name scale =
     if list_them then begin
-      List.iter (fun (n, _) -> print_endline n) scenario_names;
+      List.iter (fun (n, _) -> print_endline n) Scenario_index.names;
       `Ok ()
     end
     else
       match name with
       | None -> `Error (true, "scenario name required (or --list)")
       | Some needle -> (
-          match List.find_opt (substring_match needle) scenario_names with
+          match Scenario_index.match_name needle with
           | None -> `Error (false, "no scenario matches " ^ needle)
-          | Some (label, scenario) ->
+          | Some (label, _) ->
               with_lab scale (fun pop ->
-                  match find_record pop scenario with
+                  match Scenario_index.find (Scenario_index.create pop) needle with
                   | None ->
                       `Error (false, "scenario not present in lab population")
-                  | Some r ->
-                      Printf.eprintf "# %s — domain %s\n" label
-                        r.Population.domain;
-                      print_string (Pem.encode_certs r.Population.chain);
+                  | Some (domain, chain) ->
+                      Printf.eprintf "# %s — domain %s\n" label domain;
+                      print_string (Pem.encode_certs chain);
                       `Ok ()))
   in
   Cmd.v
@@ -1046,16 +1026,7 @@ let serve_cmd =
               union_store = Chaoschain_pki.Universe.union_store u;
               program_store = Chaoschain_pki.Universe.store u;
               aia = Chaoschain_pki.Universe.aia u;
-              find_scenario =
-                (fun needle ->
-                  match
-                    List.find_opt (substring_match needle) scenario_names
-                  with
-                  | None -> None
-                  | Some (_, scenario) ->
-                      Option.map
-                        (fun r -> (r.Population.domain, r.Population.chain))
-                        (find_record pop scenario));
+              find_scenario = Scenario_index.find (Scenario_index.create pop);
             }
           in
           let warm_corpus =

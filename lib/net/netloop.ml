@@ -3,7 +3,7 @@ type sink = {
   submit : tag:int -> string -> [ `Admitted | `Rejected of string ];
   drain : unit -> (int * string) list;
   pending : unit -> int;
-  overlong_reply : unit -> string;
+  submit_overlong : tag:int -> unit;
 }
 
 type config = {
@@ -19,12 +19,16 @@ let default_config =
     write_bound = 256 * 1024;
     inbox_bound = 1024 }
 
+(* A framed line: a frame, or the marker of an overlong line, which keeps
+   its place in submission order. *)
+type item = Frame of string | Overlong_line
+
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;       (* read side *)
   c_wfd : Unix.file_descr;      (* write side: c_fd again for a socket *)
   c_framing : Framing.t;
-  c_inbox : string Queue.t;     (* parsed frames awaiting submission *)
+  c_inbox : item Queue.t;       (* framed lines awaiting submission *)
   c_out : string Queue.t;       (* reply bytes awaiting the socket *)
   mutable c_out_off : int;      (* flushed prefix of the head of c_out *)
   mutable c_out_bytes : int;
@@ -274,12 +278,13 @@ let pump t c =
   let rec go () =
     match Framing.next c.c_framing with
     | `Frame f ->
-        Queue.add f c.c_inbox;
+        Queue.add (Frame f) c.c_inbox;
         t.inboxed <- t.inboxed + 1;
         go ()
     | `Overlong ->
         t.overlong <- t.overlong + 1;
-        push_out c (t.sink.overlong_reply ());
+        Queue.add Overlong_line c.c_inbox;
+        t.inboxed <- t.inboxed + 1;
         go ()
     | `Await | `Eof -> ()
   in
@@ -312,13 +317,17 @@ let submit_frames t =
              && (not (Queue.is_empty c.c_inbox))
              && t.sink.can_admit ()
           then begin
-            let frame = Queue.pop c.c_inbox in
             t.inboxed <- t.inboxed - 1;
-            (match t.sink.submit ~tag:c.c_id frame with
-            | `Admitted ->
-                c.c_inflight <- c.c_inflight + 1;
-                t.frames <- t.frames + 1
-            | `Rejected reply -> push_out c reply);
+            (match Queue.pop c.c_inbox with
+            | Overlong_line ->
+                t.sink.submit_overlong ~tag:c.c_id;
+                c.c_inflight <- c.c_inflight + 1
+            | Frame frame -> (
+                match t.sink.submit ~tag:c.c_id frame with
+                | `Admitted ->
+                    c.c_inflight <- c.c_inflight + 1;
+                    t.frames <- t.frames + 1
+                | `Rejected reply -> push_out c reply));
             progress := true
           end)
         order

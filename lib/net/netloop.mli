@@ -10,7 +10,9 @@
       discard mode;
     - complete frames are submitted to a {!sink} — chaind's micro-batching
       engine behind a thin closure record — in fair round-robin order
-      across connections, so one chatty client cannot starve the rest;
+      across connections, so one chatty client cannot starve the rest; an
+      overlong line is submitted as a marker in its place, so its error
+      reply keeps the connection's request order;
     - replies come back tagged with the originating connection and are
       queued on per-connection write buffers, flushed opportunistically
       with non-blocking writes;
@@ -52,9 +54,11 @@ type sink = {
   drain : unit -> (int * string) list;
       (** Process one micro-batch; tagged replies in request order. *)
   pending : unit -> int;  (** frames admitted but not yet drained *)
-  overlong_reply : unit -> string;
-      (** The response for a request line past [max_frame] (the line
-          itself was consumed by the framing layer). *)
+  submit_overlong : tag:int -> unit;
+      (** Queue the reply to a request line past [max_frame] (the line
+          itself was consumed by the framing layer) in submission order,
+          behind the frames submitted before it; it comes back through
+          [drain] under [tag]. Called only when [can_admit]. *)
 }
 
 type config = {

@@ -189,9 +189,29 @@ let hex4 st =
   done;
   !v
 
+(* End of the run of plain bytes from [i]: stops at a quote, a backslash,
+   a control byte or the end of input. *)
+let rec plain_end text i =
+  if i = String.length text then i
+  else
+    match String.unsafe_get text i with
+    | '"' | '\\' -> i
+    | c when Char.code c < 0x20 -> i
+    | _ -> plain_end text (i + 1)
+
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 32 in
+  let start = st.pos in
+  let stop = plain_end st.text start in
+  if stop < String.length st.text && st.text.[stop] = '"' then begin
+    (* no escapes: the contents are one slice of the input *)
+    st.pos <- stop + 1;
+    String.sub st.text start (stop - start)
+  end
+  else
+  let buf = Buffer.create (stop - start + 16) in
+  Buffer.add_substring buf st.text start (stop - start);
+  st.pos <- stop;
   let rec go () =
     match peek st with
     | None -> fail st "unterminated string"
@@ -230,9 +250,11 @@ let parse_string st =
             | _ -> fail st "bad escape");
             go ())
     | Some c when Char.code c < 0x20 -> fail st "raw control character in string"
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
+    | Some _ ->
+        (* one copy per maximal run of plain bytes *)
+        let stop = plain_end st.text st.pos in
+        Buffer.add_substring buf st.text st.pos (stop - st.pos);
+        st.pos <- stop;
         go ()
   in
   go ();

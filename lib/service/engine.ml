@@ -21,10 +21,10 @@ type t = {
   env : env;
   cache : string Lru.t;          (* options+chain key -> verdict JSON bytes *)
   metrics : Metrics.t;
-  queue : (int * string) Queue.t;
-      (* admitted raw frames, tagged with the submitter's connection id;
-         the tag rides through drain so a multi-connection front end can
-         route each reply home *)
+  queue : (int * (Protocol.request, Protocol.error) result) Queue.t;
+      (* admitted frames, parsed once at submission and tagged with the
+         submitter's connection id; the tag rides through drain so a
+         multi-connection front end can route each reply home *)
   queue_capacity : int;
   batch : int;
   pool : Pipeline.Pool.t;
@@ -374,7 +374,7 @@ let stats_json t =
         (* The process-wide certificate intern table (distinct from the
            verdict LRU above): the LRU caches whole responses keyed by
            chain + options, the intern table shares parsed [Cert.t] values
-           keyed by DER fingerprint, so even LRU misses skip re-parsing any
+           keyed by DER bytes, so even LRU misses skip re-parsing any
            certificate seen before. *)
         let i = Intern.stats () in
         Json.Obj
@@ -408,8 +408,8 @@ let stats_json t =
                    s.Metrics.buckets) ) ] ) ]
     @ shards_block @ store_block @ experiments_block)
 
-let prepare t seen frame =
-  match Protocol.of_frame frame with
+let prepare t seen parsed =
+  match parsed with
   | Error { Protocol.err_id; code; message } ->
       Metrics.incr_errors t.metrics;
       Ready (Protocol.error_response ~id:err_id ~code message)
@@ -504,19 +504,18 @@ let submit t ~tag frame =
   end
   else begin
     Metrics.incr_requests t.metrics;
-    Queue.add (tag, frame) t.queue;
+    Queue.add (tag, Protocol.of_frame frame) t.queue;
     `Admitted
   end
 
-let overlong_response t =
-  Metrics.incr_errors t.metrics;
-  Protocol.error_response ~id:None ~code:"overlong"
-    "request line exceeds the transport's frame-length bound"
+(* An overlong line never reaches the parser; it queues as an error that
+   [prepare] answers (counting one error, no request) in its turn. *)
+let overlong_error =
+  Error
+    { Protocol.err_id = None; code = "overlong";
+      message = "request line exceeds the transport's frame-length bound" }
 
-let is_stats frame =
-  match Protocol.of_frame frame with
-  | Ok { Protocol.op = Protocol.Stats; _ } -> true
-  | _ -> false
+let submit_overlong t ~tag = Queue.add (tag, overlong_error) t.queue
 
 (* Take the next micro-batch: up to [batch] frames, but a stats frame is a
    barrier — it is taken alone, so its reply observes every check admitted
@@ -525,10 +524,10 @@ let take_batch t =
   let rec go acc n =
     if n >= t.batch || Queue.is_empty t.queue then List.rev acc
     else
-      let _, next = Queue.peek t.queue in
-      if is_stats next then
-        if acc = [] then [ Queue.pop t.queue ] else List.rev acc
-      else go (Queue.pop t.queue :: acc) (n + 1)
+      match Queue.peek t.queue with
+      | _, Ok { Protocol.op = Protocol.Stats; _ } ->
+          if acc = [] then [ Queue.pop t.queue ] else List.rev acc
+      | _ -> go (Queue.pop t.queue :: acc) (n + 1)
   in
   go [] 0
 
@@ -538,12 +537,12 @@ let drain_tagged t =
   | tagged ->
       let seen = Hashtbl.create 16 in
       let responses =
-        process_slots t (List.map (fun (_, f) -> prepare t seen f) tagged)
+        process_slots t (List.map (fun (_, p) -> prepare t seen p) tagged)
       in
       List.map2 (fun (tag, _) response -> (tag, response)) tagged responses
 
 let handle_frame t frame =
   let seen = Hashtbl.create 1 in
-  match process_slots t [ prepare t seen frame ] with
+  match process_slots t [ prepare t seen (Protocol.of_frame frame) ] with
   | [ response ] -> response
   | _ -> assert false

@@ -34,7 +34,10 @@ type env = {
   aia : Aia_repo.t;
   find_scenario : string -> (string * Cert.t list) option;
       (** Resolve a scenario-name substring to (domain, served chain); the
-          CLI backs this with the lab population, tests with a fixture. *)
+          CLI backs this with {!Chaoschain_measurement.Scenario_index.find},
+          tests with a fixture. Called once per [scenario] check, on the
+          serve thread, so it must not scan the population: build any
+          table before creating the engine. *)
 }
 
 type t
@@ -98,7 +101,9 @@ val copy_cache : t -> t -> unit
     [--warm-store] pass fills every shard without recomputing. *)
 
 val submit : t -> tag:int -> string -> [ `Admitted | `Rejected of string ]
-(** Offer one raw frame to the admission queue. [`Rejected response] is
+(** Offer one raw frame to the admission queue. An admitted frame is
+    parsed here, once; the stats barrier and request preparation both read
+    that result. [`Rejected response] is
     returned (and counted) when the queue already holds [queue_capacity]
     frames; the response is a ready-to-send ["overloaded"] error. The
     opaque [tag] comes back with the frame's response from
@@ -122,9 +127,12 @@ val drain_tagged : t -> (int * string) list
     batch barrier so its reply reflects every request admitted before it.
     Empty list when the queue is empty. *)
 
-val overlong_response : t -> string
-(** The canonical reply for a request line past the framing layer's
-    [max_frame] bound; counts one error. *)
+val submit_overlong : t -> tag:int -> unit
+(** Queue the canonical ["overlong"] error for a request line past the
+    framing layer's [max_frame] bound. It is answered in submission order,
+    like any frame, so it never overtakes replies to earlier requests; it
+    counts one error and no request. Never rejected: call it only when
+    {!can_admit}, as for {!submit}. *)
 
 val handle_frame : t -> string -> string
 (** Admit-free, serial processing of one request: the byte-identity

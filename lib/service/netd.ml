@@ -100,7 +100,7 @@ let sink engine =
     submit = (fun ~tag frame -> Engine.submit engine ~tag frame);
     drain = (fun () -> Engine.drain_tagged engine);
     pending = (fun () -> Engine.pending engine);
-    overlong_reply = (fun () -> Engine.overlong_response engine);
+    submit_overlong = (fun ~tag -> Engine.submit_overlong engine ~tag);
   }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()

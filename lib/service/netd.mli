@@ -29,7 +29,7 @@ val dial : addr -> Unix.file_descr
 val sink : Engine.t -> Chaoschain_net.Netloop.sink
 (** The event-loop view of an engine: submit = {!Engine.submit},
     drain = {!Engine.drain_tagged}, admission gate = {!Engine.can_admit},
-    overlong replies = {!Engine.overlong_response}. *)
+    overlong lines = {!Engine.submit_overlong}. *)
 
 val serve_listen :
   ?config:Chaoschain_net.Netloop.config ->

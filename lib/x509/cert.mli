@@ -39,7 +39,8 @@ val of_der : string -> (t, string) result
 val of_der_keyed : fp:string -> string -> (t, string) result
 (** [of_der_keyed ~fp raw] is {!of_der} for a caller that has already computed
     the SHA-256 fingerprint of [raw]: the digest is trusted and not
-    recomputed. Used by the intern cache, which keys lookups by digest. *)
+    recomputed. Used by the intern cache, which computes it once, on a
+    miss. *)
 
 val fingerprint : t -> string
 (** SHA-256 over the full DER encoding; the certificate's identity. *)

@@ -10,6 +10,7 @@ let () =
       ("deployment", Test_deployment.suite);
       ("tlssim", Test_tlssim.suite);
       ("report", Test_report.suite);
+      ("decoders", Test_decoders.suite);
       ("measurement", Test_measurement.suite);
       ("pipeline", Test_pipeline.suite);
       ("difftest", Test_difftest.suite);

@@ -306,8 +306,87 @@ let classify_dataset () =
   Alcotest.(check bool) "report renders" true
     (String.length (Chaoschain_report.Report.to_text (Classify.report c)) > 0)
 
+(* --- scenario resolution (Scenario_index) --- *)
+
+(* The linear resolver the index replaces, kept verbatim as the reference:
+   the first ledger name containing the needle, then the first population
+   record of that scenario. *)
+module Linear = struct
+  let scenario_names =
+    List.filter_map
+      (fun (s, n) ->
+        if n > 0 then Some (Calibration.scenario_to_string s, s) else None)
+      Calibration.ledger
+
+  let contains ~needle name =
+    let needle = String.lowercase_ascii needle in
+    let name = String.lowercase_ascii name in
+    let ln = String.length needle and nn = String.length name in
+    let rec go i = i + ln <= nn && (String.sub name i ln = needle || go (i + 1)) in
+    go 0
+
+  let find_scenario (pop : Population.t) needle =
+    match List.find_opt (fun (name, _) -> contains ~needle name) scenario_names with
+    | None -> None
+    | Some (_, scenario) ->
+        Array.to_list pop.Population.domains
+        |> List.find_opt (fun r -> r.Population.scenario = scenario)
+        |> Option.map (fun r -> (r.Population.domain, r.Population.chain))
+end
+
+let resolver_needles =
+  List.concat_map
+    (fun (name, _) -> [ name; String.uppercase_ascii name ])
+    Scenario_index.names
+  @ [ "rev"; "REV"; "dup"; "cross"; ""; "no such scenario"; "zzz" ]
+
+let index_matches_linear () =
+  let pop = Lazy.force pop in
+  let idx = Scenario_index.create pop in
+  List.iter
+    (fun needle ->
+      let same =
+        match (Scenario_index.find idx needle, Linear.find_scenario pop needle) with
+        | None, None -> true
+        | Some (d, c), Some (d', c') ->
+            d = d' && List.length c = List.length c' && List.for_all2 ( == ) c c'
+        | _ -> false
+      in
+      Alcotest.(check bool) (Printf.sprintf "needle %S" needle) true same)
+    resolver_needles;
+  Alcotest.(check bool) "names are the ledger's" true
+    (Scenario_index.names = Linear.scenario_names);
+  Alcotest.(check bool) "unknown needle" true
+    (Scenario_index.match_name "no such scenario" = None)
+
+(* Minor words per [find] call, averaged over many calls per needle. *)
+let words_per_find idx =
+  let calls = 1000 in
+  List.map
+    (fun needle ->
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (Scenario_index.find idx needle))
+      done;
+      (Gc.minor_words () -. before) /. float_of_int calls)
+    resolver_needles
+
+(* O(1) in the population, pinned as an allocation count: a lookup costs
+   the same (and next to nothing) at two population sizes 10x apart. *)
+let index_find_flat_in_population () =
+  let small = words_per_find (Scenario_index.create (Population.generate ~scale:0.002 ())) in
+  let large = words_per_find (Scenario_index.create (Population.generate ~scale:0.02 ())) in
+  List.iter2
+    (fun (needle, a) b ->
+      Alcotest.(check bool) (Printf.sprintf "%S: %.3f words per call" needle a) true (a < 1.0);
+      Alcotest.(check (float 0.0)) (Printf.sprintf "%S: same at 0.002 and 0.02" needle) a b)
+    (List.combine resolver_needles small) large
+
 let suite =
   [ Alcotest.test_case "comma formatting" `Quick commas;
+    Alcotest.test_case "scenario index matches linear" `Slow index_matches_linear;
+    Alcotest.test_case "scenario find flat in population" `Slow
+      index_find_flat_in_population;
     Alcotest.test_case "percent formatting" `Quick percents;
     Alcotest.test_case "apportion exact" `Quick apportion_exact;
     QCheck_alcotest.to_alcotest qcheck_apportion;

@@ -158,18 +158,17 @@ let echo_sink () =
     Netloop.can_admit = (fun () -> Queue.length q < 8);
     submit =
       (fun ~tag frame ->
-        Queue.add (tag, frame) q;
+        Queue.add (tag, "echo:" ^ frame) q;
         `Admitted);
     drain =
       (fun () ->
         let out = ref [] in
         for _ = 1 to min 4 (Queue.length q) do
-          let tag, frame = Queue.pop q in
-          out := (tag, "echo:" ^ frame) :: !out
+          out := Queue.pop q :: !out
         done;
         List.rev !out);
     pending = (fun () -> Queue.length q);
-    overlong_reply = (fun () -> "OVERLONG");
+    submit_overlong = (fun ~tag -> Queue.add (tag, "OVERLONG") q);
   }
 
 type client = {
@@ -387,7 +386,8 @@ let netloop_interleaved_echo () =
       Alcotest.(check int) "frames" (n * per) s.Netloop.frames;
       Alcotest.(check int) "live after drain" 0 s.Netloop.live_conns)
 
-(* Overlong lines answered with the sink's canned reply, framing resumes. *)
+(* Overlong lines answered with the sink's canned reply in request order
+   (behind the frame read in the same chunk before it), framing resumes. *)
 let netloop_overlong () =
   with_listener @@ fun path listen ->
   let config = { Netloop.default_config with Netloop.max_frame = 32 } in
@@ -398,10 +398,10 @@ let netloop_overlong () =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      write_all fd (String.make 100 'x' ^ "\nafter\n");
-      drive loop [ cl ] (fun () -> List.length cl.replies = 2);
-      Alcotest.(check (list string)) "overlong reply then echo"
-        [ "OVERLONG"; "echo:after" ]
+      write_all fd ("before\n" ^ String.make 100 'x' ^ "\nafter\n");
+      drive loop [ cl ] (fun () -> List.length cl.replies = 3);
+      Alcotest.(check (list string)) "replies in request order"
+        [ "echo:before"; "OVERLONG"; "echo:after" ]
         (List.rev cl.replies);
       Alcotest.(check int) "one overlong" 1 (Netloop.stats loop).Netloop.overlong;
       Netloop.stop loop;

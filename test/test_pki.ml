@@ -300,6 +300,61 @@ let intern_domain_hammer () =
     results;
   Alcotest.(check int) "two entries" 2 (Intern.stats ()).Intern.entries
 
+(* Keyed by the DER bytes: a certificate one byte away from an interned one
+   is its own entry, never the interned value. *)
+let intern_one_byte_apart () =
+  Intern.clear ();
+  let der = Cert.to_der (List.hd (intern_chain ())) in
+  let a = Result.get_ok (Intern.cert_of_der der) in
+  (* the last byte sits in the signature, so the variant still parses *)
+  let last = String.length der - 1 in
+  let der' =
+    String.mapi (fun i c -> if i = last then Char.chr (Char.code c lxor 1) else c) der
+  in
+  let b = Result.get_ok (Intern.cert_of_der der') in
+  Alcotest.(check bool) "not aliased" false (a == b);
+  Alcotest.(check string) "its own bytes" der' (Cert.to_der b);
+  let framed = "xy" ^ der' in
+  let c = Result.get_ok (Intern.cert_of_sub framed ~off:2 ~len:(String.length der')) in
+  Alcotest.(check bool) "window finds the variant" true (c == b);
+  Alcotest.(check bool) "original still shared" true
+    (Result.get_ok (Intern.cert_of_der der) == a);
+  Alcotest.(check int) "two entries" 2 (Intern.stats ()).Intern.entries
+
+let intern_stats_counts () =
+  Intern.clear ();
+  let ders = List.map Cert.to_der (intern_chain ()) in
+  let der = List.hd ders in
+  ignore (Intern.cert_of_der der);                                (* miss *)
+  ignore (Intern.cert_of_sub ("..." ^ der) ~off:3 ~len:(String.length der));
+                                                                  (* hit *)
+  ignore (Intern.cert_of_der (List.nth ders 1));                  (* miss *)
+  ignore (Intern.cert_of_der "not a certificate");         (* failed miss *)
+  ignore (Intern.cert_of_der der);                                (* hit *)
+  let s = Intern.stats () in
+  Alcotest.(check int) "entries" 2 s.Intern.entries;
+  Alcotest.(check int) "lookups" 5 s.Intern.lookups;
+  Alcotest.(check int) "hits" 2 s.Intern.hits
+
+(* A hit neither copies the window nor fingerprints it: its allocation is a
+   few words, far below the window's own size. *)
+let intern_hit_allocates_little () =
+  Intern.clear ();
+  let der = Cert.to_der (List.hd (intern_chain ())) in
+  let framed = "\x00\x01\x02" ^ der in
+  let len = String.length der in
+  ignore (Intern.cert_of_sub framed ~off:3 ~len);
+  let calls = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Intern.cert_of_sub framed ~off:3 ~len))
+  done;
+  let per_hit = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per hit on a %d-byte window" per_hit len)
+    true
+    (per_hit < 32.0 && 32 * 8 < len)
+
 let suite =
   [ Alcotest.test_case "root store lookups" `Quick root_store_lookups;
     Alcotest.test_case "intern shares physically" `Quick intern_shares_physically;
@@ -308,6 +363,10 @@ let suite =
     Alcotest.test_case "intern byte-identity" `Quick intern_byte_identity;
     Alcotest.test_case "intern errors not cached" `Quick intern_errors_not_cached;
     Alcotest.test_case "intern Domain hammer" `Quick intern_domain_hammer;
+    Alcotest.test_case "intern one byte apart" `Quick intern_one_byte_apart;
+    Alcotest.test_case "intern stats counts" `Quick intern_stats_counts;
+    Alcotest.test_case "intern hit allocates little" `Quick
+      intern_hit_allocates_little;
     Alcotest.test_case "root store union dedup" `Quick root_store_union_dedup;
     Alcotest.test_case "aia repo behaviour" `Quick aia_repo_behaviour;
     Alcotest.test_case "aia chase" `Quick aia_chase_success_and_failures;

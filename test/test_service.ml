@@ -676,12 +676,17 @@ let engine_scripted_clock () =
 
 (* --- bounded request lines on the stdio path --- *)
 
-(* Overlong replies are written as soon as the bound is crossed, so they
-   can overtake replies still being computed; the other replies keep
-   request order among themselves. *)
-let split_overlong out =
-  List.partition
-    (fun r -> response_field r "code" = Some (Json.String "overlong"))
+(* An overlong line is answered in its place in the request order, never
+   ahead of replies to earlier lines still being computed. For order
+   assertions, each reply becomes its id, or its error code when the line
+   never parsed far enough to carry one. *)
+let reply_tags out =
+  List.map
+    (fun r ->
+      match (response_field r "id", response_field r "code") with
+      | Some (Json.String id), _ -> id
+      | _, Some (Json.String code) -> code
+      | _ -> Alcotest.fail ("neither id nor code in " ^ r))
     out
 
 (* [serve < file]: a regular-file stdin, which the select backend serves
@@ -703,11 +708,10 @@ let overlong_file_stdin () =
   let out = lines (In_channel.with_open_bin output In_channel.input_all) in
   Sys.remove input;
   Sys.remove output;
-  let overlong, rest = split_overlong out in
-  Alcotest.(check int) "one overlong reply" 1 (List.length overlong);
   (* "short" and "ok" fit the bound and reach the parser *)
-  Alcotest.(check int) "two framed replies" 2 (List.length rest);
-  List.iter (fun r -> expect_error r "malformed_frame") rest
+  Alcotest.(check (list string)) "replies in request order"
+    [ "malformed_frame"; "overlong"; "malformed_frame" ]
+    (reply_tags out)
 
 let overlong_pipe () =
   let t = Engine.create ~env:(make_env ()) () in
@@ -720,28 +724,33 @@ let overlong_pipe () =
         "\n" ^ {|{"id":"b","op":"stats"}|} ^ "\n" ]
   in
   Engine.shutdown t;
-  let overlong, rest = split_overlong out in
-  Alcotest.(check int) "both overlong lines reported" 2 (List.length overlong);
-  Alcotest.(check (list string)) "framing resumes after each" [ "a"; "b" ]
-    (List.map reply_id rest)
+  Alcotest.(check (list string)) "framing resumes after each, in order"
+    [ "overlong"; "a"; "overlong"; "b" ]
+    (reply_tags out)
 
 let serve_overlong_reply () =
   let t = Engine.create ~env:(make_env ()) () in
+  (* the check before the overlong line is a miss, still computing when
+     the line is cut off: its reply must come first *)
   let frames =
-    [ String.make 300 'z'; check_frame ~id:"s1" ~scenario:"fixture" () ]
+    [ check_frame ~id:"s0" ~scenario:"fixture" (); String.make 300 'z';
+      check_frame ~id:"s1" ~scenario:"fixture" () ]
   in
   let _, out = serve_pipes ~config:(with_max_frame 200) t [ frames_text frames ] in
   Engine.shutdown t;
-  (match out with
-  | [ r1; r2 ] ->
-      expect_error r1 "overlong";
-      (match response_field r2 "ok" with
-      | Some (Json.Bool true) -> ()
-      | _ -> Alcotest.fail "check after overlong failed")
-  | out -> Alcotest.fail (Printf.sprintf "%d replies" (List.length out)));
+  Alcotest.(check (list string)) "replies in request order"
+    [ "s0"; "overlong"; "s1" ] (reply_tags out);
+  List.iter
+    (fun r ->
+      if reply_tags [ r ] <> [ "overlong" ] then
+        match response_field r "ok" with
+        | Some (Json.Bool true) -> ()
+        | _ -> Alcotest.fail ("check around the overlong line failed: " ^ r))
+    out;
   let m = Engine.metrics t in
   Alcotest.(check int) "overlong counted as error" 1 m.S.Metrics.errors;
-  Alcotest.(check int) "check still served" 1 m.S.Metrics.misses
+  Alcotest.(check int) "overlong is not a request" 2 m.S.Metrics.requests;
+  Alcotest.(check int) "checks still served" 1 m.S.Metrics.misses
 
 (* --- stdio path: the reader of stdout going away must not kill the
    process (the runner ignores SIGPIPE, so the write fails with EPIPE) --- *)
@@ -839,7 +848,10 @@ let engine_tagged_submit () =
             Alcotest.fail ("stats latency block lacks " ^ key))
         [ "p50"; "p90"; "p95"; "p99"; "p999" ]
   | _ -> Alcotest.fail "tagged stats reply expected");
-  expect_error (Engine.overlong_response t) "overlong";
+  Engine.submit_overlong t ~tag:9;
+  (match Engine.drain_tagged t with
+  | [ (9, response) ] -> expect_error response "overlong"
+  | _ -> Alcotest.fail "tagged overlong reply expected");
   Engine.shutdown t
 
 let suite =
