@@ -1,7 +1,8 @@
 #!/bin/sh
 # chaind stdio smoke: verdict and cache counters over the framed
-# stdin/stdout protocol, warm-store byte-identity, admission pacing on a
-# 20,001-line pipe, and the SIGPIPE and SIGTERM exits.
+# stdin/stdout protocol, byte-identity across --jobs with the cache off,
+# warm-store byte-identity, admission pacing on a 20,001-line pipe, and
+# the SIGPIPE and SIGTERM exits.
 #
 # Usage: ci/serve.sh CHAOSCHECK
 set -eu
@@ -19,6 +20,29 @@ grep -q '"ordered":false' "$s/cold.out"
 grep -q '"hits":1' "$s/cold.out"
 grep -q '"misses":1' "$s/cold.out"
 grep -q '"rejects":0' "$s/cold.out"
+
+# Concurrent path building leaves no trace in the replies: every lab
+# scenario under the union store and each root program, AIA on and off,
+# served uncached at --jobs 1 and at --jobs 3 (checks computed on three
+# Domains at once), gives the same bytes.
+"$cc" scenario --list > "$s/names"
+n=0
+while IFS= read -r name; do
+  for store in union mozilla chrome microsoft apple; do
+    for aia in true false; do
+      n=$((n + 1))
+      printf '{"id":"j%d","op":"check","scenario":"%s","store":"%s","aia":%s}\n' \
+        "$n" "$name" "$store" "$aia"
+    done
+  done
+done < "$s/names" > "$s/jobs.ndjson"
+[ "$n" -ge 400 ]
+"$cc" serve --scale 0.002 --cache 0 --jobs 1 \
+  < "$s/jobs.ndjson" > "$s/jobs1.out" 2>/dev/null
+"$cc" serve --scale 0.002 --cache 0 --jobs 3 \
+  < "$s/jobs.ndjson" > "$s/jobs3.out" 2>/dev/null
+[ "$(grep -c '"ok":true,"verdict"' "$s/jobs1.out")" -eq "$n" ]
+cmp "$s/jobs1.out" "$s/jobs3.out"
 
 # A chaind warmed from a chainstore corpus serves byte-identical check
 # replies, and the warm fill shows up as cache hits.

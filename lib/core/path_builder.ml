@@ -141,14 +141,18 @@ let rank_candidates ctx ~child ~path_len_so_far cands =
 
 let name_chains_to ~candidate ~child = Relation.issued_by_name ~issuer:candidate ~child
 
+(* The candidate filters test name chaining first: it is a compare of two
+   cached hashes for almost every non-issuer, while the [used] probe hashes a
+   fingerprint. All three tests are pure, so the order cannot change the
+   result. *)
 let in_list_candidates ctx positions ~used ~cur_pos ~child =
   List.filter_map
     (fun (pos, cert) ->
       let eligible_pos = ctx.params.Build_params.reorder || pos > cur_pos in
       if eligible_pos
-         && (not (Hashtbl.mem used (Cert.fingerprint cert)))
-         && (not (Cert.equal cert child))
          && name_chains_to ~candidate:cert ~child
+         && (not (Hashtbl.mem used (Cert.fingerprint cert)))
+         && not (Cert.equal cert child)
       then Some { cert; source = From_list pos }
       else None)
     positions
@@ -166,9 +170,9 @@ let cache_candidates ctx ~used ~child =
   else
     List.filter_map
       (fun cert ->
-        if (not (Hashtbl.mem used (Cert.fingerprint cert)))
-           && (not (Cert.equal cert child))
-           && name_chains_to ~candidate:cert ~child
+        if name_chains_to ~candidate:cert ~child
+           && (not (Hashtbl.mem used (Cert.fingerprint cert)))
+           && not (Cert.equal cert child)
         then Some { cert; source = From_cache }
         else None)
       ctx.cache

@@ -1,31 +1,37 @@
 let alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
+(* Encoding writes straight into an exactly-sized [Bytes] buffer: four
+   output characters per input triple, the last group padded with [=]. *)
 let encode s =
   let n = String.length s in
-  let out = Buffer.create ((n + 2) / 3 * 4) in
-  let i = ref 0 in
-  while !i + 2 < n do
-    let b0 = Char.code s.[!i] and b1 = Char.code s.[!i + 1] and b2 = Char.code s.[!i + 2] in
-    Buffer.add_char out alphabet.[b0 lsr 2];
-    Buffer.add_char out alphabet.[((b0 land 0x3) lsl 4) lor (b1 lsr 4)];
-    Buffer.add_char out alphabet.[((b1 land 0xF) lsl 2) lor (b2 lsr 6)];
-    Buffer.add_char out alphabet.[b2 land 0x3F];
-    i := !i + 3
+  let out = Bytes.create ((n + 2) / 3 * 4) in
+  let put o v = Bytes.unsafe_set out o (String.unsafe_get alphabet v) in
+  let byte i = Char.code (String.unsafe_get s i) in
+  let full = n / 3 in
+  for g = 0 to full - 1 do
+    let i = g * 3 and o = g * 4 in
+    let b0 = byte i and b1 = byte (i + 1) and b2 = byte (i + 2) in
+    put o (b0 lsr 2);
+    put (o + 1) (((b0 land 0x3) lsl 4) lor (b1 lsr 4));
+    put (o + 2) (((b1 land 0xF) lsl 2) lor (b2 lsr 6));
+    put (o + 3) (b2 land 0x3F)
   done;
-  (match n - !i with
+  let i = full * 3 and o = full * 4 in
+  (match n - i with
   | 1 ->
-      let b0 = Char.code s.[!i] in
-      Buffer.add_char out alphabet.[b0 lsr 2];
-      Buffer.add_char out alphabet.[(b0 land 0x3) lsl 4];
-      Buffer.add_string out "=="
+      let b0 = byte i in
+      put o (b0 lsr 2);
+      put (o + 1) ((b0 land 0x3) lsl 4);
+      Bytes.unsafe_set out (o + 2) '=';
+      Bytes.unsafe_set out (o + 3) '='
   | 2 ->
-      let b0 = Char.code s.[!i] and b1 = Char.code s.[!i + 1] in
-      Buffer.add_char out alphabet.[b0 lsr 2];
-      Buffer.add_char out alphabet.[((b0 land 0x3) lsl 4) lor (b1 lsr 4)];
-      Buffer.add_char out alphabet.[(b1 land 0xF) lsl 2];
-      Buffer.add_char out '='
+      let b0 = byte i and b1 = byte (i + 1) in
+      put o (b0 lsr 2);
+      put (o + 1) (((b0 land 0x3) lsl 4) lor (b1 lsr 4));
+      put (o + 2) ((b1 land 0xF) lsl 2);
+      Bytes.unsafe_set out (o + 3) '='
   | _ -> ());
-  Buffer.contents out
+  Bytes.unsafe_to_string out
 
 (* Decoding uses a 256-entry value table (-1 = not in the alphabet) and
    writes straight into an exactly-sized [Bytes] buffer: each 4-character

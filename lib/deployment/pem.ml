@@ -4,17 +4,25 @@ module Intern = Chaoschain_pki.Intern
 let header = "-----BEGIN CERTIFICATE-----"
 let footer = "-----END CERTIFICATE-----"
 
-let wrap64 s =
-  let buf = Buffer.create (String.length s + (String.length s / 64) + 2) in
-  String.iteri
-    (fun i c ->
-      if i > 0 && i mod 64 = 0 then Buffer.add_char buf '\n';
-      Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* One exactly-sized buffer: the header line, the Base64 body blitted in
+   64-column lines (one empty line for an empty body), the footer line. *)
 let encode_cert cert =
-  Printf.sprintf "%s\n%s\n%s\n" header (wrap64 (Base64.encode (Cert.to_der cert))) footer
+  let body = Base64.encode (Cert.to_der cert) in
+  let n = String.length body and hn = String.length header in
+  let lines = max 1 ((n + 63) / 64) in
+  let out = Bytes.create (hn + 1 + n + lines + String.length footer + 1) in
+  Bytes.blit_string header 0 out 0 hn;
+  Bytes.set out hn '\n';
+  let o = ref (hn + 1) in
+  for l = 0 to lines - 1 do
+    let len = min 64 (n - (l * 64)) in
+    Bytes.blit_string body (l * 64) out !o len;
+    Bytes.set out (!o + len) '\n';
+    o := !o + len + 1
+  done;
+  Bytes.blit_string footer 0 out !o (String.length footer);
+  Bytes.set out (Bytes.length out - 1) '\n';
+  Bytes.unsafe_to_string out
 
 let encode_certs certs = String.concat "" (List.map encode_cert certs)
 

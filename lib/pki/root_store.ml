@@ -11,15 +11,18 @@ let program_to_string = function
 let all_programs = [ Mozilla; Chrome; Microsoft; Apple ]
 
 module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
 
 type t = {
   name : string;
   by_fp : Cert.t Smap.t;
   by_skid : Cert.t list Smap.t;
-  roots : Cert.t list; (* insertion order *)
+  by_subject : Cert.t list Imap.t; (* Cert.subject_hash; insertion order *)
+  roots : Cert.t list; (* reverse insertion order *)
 }
 
-let empty name = { name; by_fp = Smap.empty; by_skid = Smap.empty; roots = [] }
+let empty name =
+  { name; by_fp = Smap.empty; by_skid = Smap.empty; by_subject = Imap.empty; roots = [] }
 
 let add t cert =
   let fp = Cert.fingerprint cert in
@@ -33,7 +36,12 @@ let add t cert =
             (fun prev -> Some (cert :: Option.value prev ~default:[]))
             t.by_skid
     in
-    { t with by_fp = Smap.add fp cert t.by_fp; by_skid; roots = cert :: t.roots }
+    let by_subject =
+      Imap.update (Cert.subject_hash cert)
+        (fun prev -> Some (Option.value prev ~default:[] @ [ cert ]))
+        t.by_subject
+    in
+    { t with by_fp = Smap.add fp cert t.by_fp; by_skid; by_subject; roots = cert :: t.roots }
 
 let make name certs = List.fold_left add (empty name) certs
 let name t = t.name
@@ -43,10 +51,15 @@ let mem t cert = Smap.mem (Cert.fingerprint cert) t.by_fp
 let mem_skid t skid = Smap.mem skid t.by_skid
 let find_by_skid t skid = Option.value (Smap.find_opt skid t.by_skid) ~default:[]
 
-let find_by_subject t dn =
-  List.filter (fun root -> Dn.equal (Cert.subject root) dn) (certs t)
+(* The bucket of roots whose subject hashes like [dn], confirmed with
+   [Dn.equal]; buckets keep insertion order, as [certs] does. *)
+let find_hashed t hash dn =
+  match Imap.find_opt hash t.by_subject with
+  | None -> []
+  | Some bucket -> List.filter (fun root -> Dn.equal (Cert.subject root) dn) bucket
 
-let issuer_candidates t cert = find_by_subject t (Cert.issuer cert)
+let find_by_subject t dn = find_hashed t (Dn.hash dn) dn
+let issuer_candidates t cert = find_hashed t (Cert.issuer_hash cert) (Cert.issuer cert)
 
 let union name stores =
   List.fold_left (fun acc s -> List.fold_left add acc (certs s)) (empty name) stores

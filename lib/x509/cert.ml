@@ -22,7 +22,22 @@ type t = {
   raw : string;         (* full certificate DER *)
   raw_tbs : string;     (* TBS DER, the signed message *)
   fp : string;          (* SHA-256 of raw *)
+  subject_hash : int;   (* Dn.hash of the subject *)
+  issuer_hash : int;    (* Dn.hash of the issuer *)
+  self_signed : bool;   (* self-issued and verifies under its own key *)
 }
+
+(* Facts path building asks of a certificate again and again, computed once
+   here by both constructors. The signature is checked only for a
+   self-issued certificate. *)
+let finish tbs signature ~raw ~raw_tbs ~fp =
+  let subject_hash = Dn.hash tbs.subject and issuer_hash = Dn.hash tbs.issuer in
+  let self_signed =
+    subject_hash = issuer_hash
+    && Dn.equal tbs.subject tbs.issuer
+    && Keys.verify tbs.public_key raw_tbs signature
+  in
+  { tbs; signature; raw; raw_tbs; fp; subject_hash; issuer_hash; self_signed }
 
 let alg_identifier (alg : Keys.algorithm) =
   let oid =
@@ -75,7 +90,7 @@ let create tbs signature =
         Der.bit_string signature.Keys.sig_bytes ]
   in
   let raw = Der.encode cert_der in
-  { tbs; signature; raw; raw_tbs; fp = Sha256.digest raw }
+  finish tbs signature ~raw ~raw_tbs ~fp:(Sha256.digest raw)
 
 let tbs t = t.tbs
 let tbs_der t = t.raw_tbs
@@ -238,7 +253,7 @@ let of_der_impl ~fp raw =
       in
       let raw_tbs = Der.slice_string tbs_n.Der.n_raw in
       let fp = match fp with Some fp -> fp | None -> Sha256.digest raw in
-      Ok { tbs; signature = { Keys.sig_alg; sig_bytes }; raw; raw_tbs; fp }
+      Ok (finish tbs { Keys.sig_alg; sig_bytes } ~raw ~raw_tbs ~fp)
   | _ -> Error "Certificate: expected 3 fields"
 
 let of_der raw = of_der_impl ~fp:None raw
@@ -291,10 +306,13 @@ let aia_ca_issuers t =
   | Some { value = Extension.Authority_info_access a; _ } -> a.Extension.ca_issuers
   | _ -> []
 
-let is_self_issued t = Dn.equal t.tbs.subject t.tbs.issuer
+let subject_hash t = t.subject_hash
+let issuer_hash t = t.issuer_hash
 
-let is_self_signed t =
-  is_self_issued t && Keys.verify t.tbs.public_key t.raw_tbs t.signature
+let is_self_issued t =
+  t.subject_hash = t.issuer_hash && Dn.equal t.tbs.subject t.tbs.issuer
+
+let is_self_signed t = t.self_signed
 
 let is_ca t = match basic_constraints t with Some { ca; _ } -> ca | None -> false
 let validity_days t = Vtime.diff_days t.tbs.not_after t.tbs.not_before

@@ -73,12 +73,22 @@ val san : t -> Extension.general_name list
 val aia_ca_issuers : t -> string list
 (** caIssuers URIs from the AIA extension ([] when absent). *)
 
+val subject_hash : t -> int
+(** [Dn.hash (subject t)], computed once when the certificate is built. *)
+
+val issuer_hash : t -> int
+(** [Dn.hash (issuer t)], computed once when the certificate is built.
+    Name chaining compares these before it confirms with {!Dn.equal}. *)
+
 val is_self_issued : t -> bool
 (** Subject DN equals issuer DN (RFC 5280 terminology). *)
 
 val is_self_signed : t -> bool
 (** Self-issued and the signature verifies under the certificate's own key.
-    This is the predicate the completeness analysis uses to recognise roots. *)
+    This is the predicate the completeness analysis uses to recognise roots.
+    It is computed once per certificate, by {!create} and {!of_der} (the
+    signature is checked only when the certificate is self-issued), so this
+    call is a field read. *)
 
 val is_ca : t -> bool
 (** BasicConstraints present with [ca = true]. *)

@@ -28,26 +28,43 @@ let common_name = find_attr Oid.at_common_name
 let organization = find_attr Oid.at_organization
 
 (* caseIgnoreMatch with internal whitespace folding, per RFC 5280 sec. 7.1's
-   simplified string comparison. *)
-let fold_value s =
-  let buf = Buffer.create (String.length s) in
-  let pending_space = ref false in
-  let started = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' -> if !started then pending_space := true
-      | c ->
-          if !pending_space then begin
-            Buffer.add_char buf ' ';
-            pending_space := false
-          end;
-          started := true;
-          Buffer.add_char buf (Char.lowercase_ascii c))
-    s;
-  Buffer.contents buf
+   simplified string comparison: lowercase ASCII, drop leading and trailing
+   spaces and tabs, fold each internal run of them to one space. The folded
+   value is never built; [fold_equal] and [fold_hash] walk it as a cursor
+   over the raw string. After the non-blank byte at [i], the folded stream
+   continues with one space iff [space_between s i next] (a blank run that
+   a non-blank byte ends), then with the byte at [next = skip_blank s
+   (i + 1)]. *)
+let is_blank c = c = ' ' || c = '\t'
 
-let equal_attr_loose a b = Oid.equal a.typ b.typ && String.equal (fold_value a.value) (fold_value b.value)
+let rec skip_blank s i =
+  if i < String.length s && is_blank (String.unsafe_get s i) then skip_blank s (i + 1)
+  else i
+
+let space_between s i next = next > i + 1 && next < String.length s
+
+(* [i] and [j] index non-blank bytes (or the end) of [a] and [b]. *)
+let rec fold_equal a i b j =
+  if i >= String.length a || j >= String.length b then
+    i >= String.length a && j >= String.length b
+  else
+    Char.lowercase_ascii (String.unsafe_get a i) = Char.lowercase_ascii (String.unsafe_get b j)
+    &&
+    let i' = skip_blank a (i + 1) and j' = skip_blank b (j + 1) in
+    space_between a i i' = space_between b j j' && fold_equal a i' b j'
+
+let mix h x = (h * 31) + x
+
+let rec fold_hash s i h =
+  if i >= String.length s then h
+  else
+    let h = mix h (Char.code (Char.lowercase_ascii (String.unsafe_get s i))) in
+    let i' = skip_blank s (i + 1) in
+    fold_hash s i' (if space_between s i i' then mix h (Char.code ' ') else h)
+
+let equal_attr_loose a b =
+  Oid.equal a.typ b.typ && fold_equal a.value (skip_blank a.value 0) b.value (skip_blank b.value 0)
+
 let equal_attr_strict a b = Oid.equal a.typ b.typ && String.equal a.value b.value
 
 let equal_with attr_eq a b =
@@ -58,6 +75,17 @@ let equal_with attr_eq a b =
 
 let equal_strict = equal_with equal_attr_strict
 let equal = equal_with equal_attr_loose
+
+(* Over the same folded stream as [equal], plus the attribute types and the
+   RDN structure, so [equal a b] implies [hash a = hash b]. *)
+let hash t =
+  List.fold_left
+    (fun h rdn ->
+      List.fold_left
+        (fun h a -> fold_hash a.value (skip_blank a.value 0) (mix (mix h 1) (Oid.hash a.typ)))
+        (mix h 2) rdn)
+    0 t
+  land max_int
 
 let compare a b =
   let attr_cmp x y =

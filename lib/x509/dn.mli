@@ -35,7 +35,16 @@ val equal_strict : t -> t -> bool
 
 val equal : t -> t -> bool
 (** RFC 5280 name chaining comparison: same RDN structure, attribute values
-    compared case-insensitively with internal whitespace runs folded. *)
+    compared case-insensitively with leading and trailing spaces and tabs
+    dropped and internal runs of them folded to one space. Allocates
+    nothing. *)
+
+val hash : t -> int
+(** A non-negative hash consistent with {!equal}: [equal a b] implies
+    [hash a = hash b]. It is computed over the same folded values, so DNs
+    differing only in case or whitespace runs hash alike; unequal DNs may
+    collide, so a hash match must still be confirmed with {!equal}.
+    {!Cert} computes it once per subject and issuer. *)
 
 val compare : t -> t -> int
 (** Total order consistent with {!equal_strict}; for use in maps/sets. *)

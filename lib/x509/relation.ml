@@ -13,14 +13,22 @@ let kid_status ~issuer ~child =
       if String.equal skid akid then Kid_match else Kid_mismatch
   | _ -> Kid_absent
 
-let name_chains ~issuer ~child = Dn.equal (Cert.subject issuer) (Cert.issuer child)
+(* The precomputed hashes reject almost every non-chaining pair without
+   touching the names. *)
+let name_chains ~issuer ~child =
+  Cert.subject_hash issuer = Cert.issuer_hash child
+  && Dn.equal (Cert.subject issuer) (Cert.issuer child)
 
 (* Signature checks dominate large-corpus runs (every check hashes the
    child's TBS); the verdict for a given (issuer, child) pair never changes,
-   so memoize on the pair of fingerprints. *)
-let sig_memo : (string, bool) Hashtbl.t = Hashtbl.create 4096
+   so memoize on the pair of fingerprints. Pipeline workers check
+   signatures from several Domains and a [Hashtbl] is not safe to share
+   unsynchronised, so each Domain keeps its own memo. *)
+let sig_memo : (string, bool) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
 let signature_ok ~issuer ~child =
+  let sig_memo = Domain.DLS.get sig_memo in
   let key = Cert.fingerprint issuer ^ Cert.fingerprint child in
   match Hashtbl.find_opt sig_memo key with
   | Some v -> v

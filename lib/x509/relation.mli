@@ -22,11 +22,13 @@ val kid_status : issuer:Cert.t -> child:Cert.t -> kid_status
 
 val name_chains : issuer:Cert.t -> child:Cert.t -> bool
 (** Criterion (2): issuer.subject == child.issuer under RFC 5280 loose
-    comparison. *)
+    comparison. The certificates' cached name hashes are compared first;
+    {!Dn.equal} confirms only a hash match. *)
 
 val signature_ok : issuer:Cert.t -> child:Cert.t -> bool
 (** Criterion (1): the candidate issuer's public key verifies the child's
-    signature over the child's TBS bytes. *)
+    signature over the child's TBS bytes. Memoized per Domain on the pair
+    of fingerprints, so concurrent callers share no table. *)
 
 val sig_alg_compatible : issuer:Cert.t -> child:Cert.t -> bool
 (** Whether the child's signature algorithm is one the issuer's key type can

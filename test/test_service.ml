@@ -854,6 +854,67 @@ let engine_tagged_submit () =
   | _ -> Alcotest.fail "tagged overlong reply expected");
   Engine.shutdown t
 
+(* --- golden verdict digest --- *)
+
+(* Every record of the scale-0.002 population checked once through the
+   serial oracle, no cache, rotating the trust store (union, Microsoft,
+   Apple) and turning AIA off on one frame in three; the SHA-256 of the
+   replies (each followed by a newline) is pinned in
+   golden/verdicts_scale0.002.sha256. It fixes every verdict byte,
+   per-client error messages and DN renderings included. *)
+let golden_frames pop =
+  let stores =
+    [| Protocol.Union; Protocol.Program Root_store.Microsoft;
+       Protocol.Program Root_store.Apple |]
+  in
+  Array.mapi
+    (fun i (r : Population.record) ->
+      Protocol.to_frame
+        {
+          Protocol.id = Some (string_of_int i);
+          op =
+            Protocol.Check
+              {
+                Protocol.domain = Some r.Population.domain;
+                pem = Some (Chaoschain_deployment.Pem.encode_certs r.Population.chain);
+                scenario = None;
+                certmsg = None;
+                format = None;
+                aia = i / 3 mod 3 <> 2;
+                store = stores.(i mod 3);
+                clients = None;
+              };
+        })
+    pop.Population.domains
+
+let golden_verdict_digest () =
+  let pop = Population.generate ~scale:0.002 () in
+  let u = pop.Population.universe in
+  let env =
+    {
+      Engine.diff_env = Population.env pop;
+      union_store = Universe.union_store u;
+      program_store = Universe.store u;
+      aia = Universe.aia u;
+      find_scenario = Scenario_index.find (Scenario_index.create pop);
+    }
+  in
+  let t = Engine.create ~env ~cache_capacity:0 () in
+  let ctx = Chaoschain_crypto.Sha256.init () in
+  Array.iter
+    (fun frame ->
+      Chaoschain_crypto.Sha256.feed ctx (Engine.handle_frame t frame);
+      Chaoschain_crypto.Sha256.feed ctx "\n")
+    (golden_frames pop);
+  Engine.shutdown t;
+  let digest = Chaoschain_crypto.Hex.encode (Chaoschain_crypto.Sha256.finalize ctx) in
+  let path =
+    List.find Sys.file_exists
+      [ "golden/verdicts_scale0.002.sha256"; "test/golden/verdicts_scale0.002.sha256" ]
+  in
+  let golden = String.trim (In_channel.with_open_bin path In_channel.input_all) in
+  Alcotest.(check string) "verdict digest" golden digest
+
 let suite =
   [ Alcotest.test_case "json round-trip" `Quick json_round_trip;
     Alcotest.test_case "json decode escapes" `Quick json_decode_escapes;
@@ -885,4 +946,5 @@ let suite =
     Alcotest.test_case "fd transport survives disconnect" `Slow
       stdio_disconnect;
     Alcotest.test_case "metrics tail quantiles" `Quick metrics_quantiles;
-    Alcotest.test_case "tagged submit/drain" `Slow engine_tagged_submit ]
+    Alcotest.test_case "tagged submit/drain" `Slow engine_tagged_submit;
+    Alcotest.test_case "golden verdict digest" `Slow golden_verdict_digest ]
