@@ -1,7 +1,8 @@
-(* The reproduction harness: regenerates every table and figure of the paper
-   over the synthetic population, then runs Bechamel micro-benchmarks of the
-   core machinery (hashing, codecs, topology analysis, one build+validate per
-   client profile, and the backtracking ablation).
+(* The micro-benchmark harness: Bechamel micro-benchmarks of the core
+   machinery (hashing, codecs, topology analysis, one build+validate per
+   client profile, the backtracking ablation, the store and the poller),
+   plus wall-clock workloads selected by --filter. The paper's tables and
+   figures are regenerated by [chaoscheck reproduce].
 
    Usage: see [usage] below (also printed by --help). *)
 
@@ -16,8 +17,7 @@ open Bechamel
 open Bechamel.Toolkit
 
 (* Wall-clock seconds on the monotonic clock; Sys.time would report CPU time,
-   which overstates elapsed time as soon as the pipeline runs several
-   Domains. *)
+   which overstates elapsed time for work that runs several Domains. *)
 let wall_s () = Int64.to_float (Mclock.now ()) /. 1e9
 
 (* --- argument parsing --- *)
@@ -25,41 +25,22 @@ let wall_s () = Int64.to_float (Mclock.now ()) /. 1e9
 let usage =
   "usage: main.exe [options]\n\
    \n\
-   Regenerate the paper's tables and figures over the synthetic population,\n\
-   then run the Bechamel micro-benchmarks.\n\
+   Run the Bechamel micro-benchmarks (the paper's tables and figures come\n\
+   from `chaoscheck reproduce`).\n\
    \n\
    options:\n\
-  \  --scale F      population scale in (0, 1]; 1.0 = Tranco Top-1M\n\
-  \                 (default 0.05)\n\
-  \  --only ID      run a single experiment (tableN / figureN / section5.2 /\n\
-  \                 section6 / dataset)\n\
-  \  --jobs N, -j N Domain-pool size for the measurement pipeline\n\
-  \                 (default: all cores; 1 = purely sequential; the output\n\
-  \                 is identical for every value)\n\
-  \  --json FILE    also write machine-readable wall-clock timings per\n\
-  \                 experiment and micro-benchmark estimates to FILE\n\
+  \  --json FILE    also write the micro-benchmark estimates and wall-clock\n\
+  \                 timings to FILE\n\
   \  --filter GLOB  run only workloads whose name matches GLOB (* and ?\n\
   \                 wildcards, e.g. 'store/*'). Heavy workloads — the\n\
   \                 65536/1M-leaf Merkle trees and the store/audit(100k)\n\
   \                 wall-clock run — are skipped by default and run only\n\
   \                 when a --filter explicitly matches them\n\
-  \  --no-micro     skip the Bechamel micro-benchmarks\n\
-  \  --micro-only   only the Bechamel micro-benchmarks\n\
-  \  --smoke        correctness cross-checks of the fast paths (digest and\n\
-  \                 decode must match the reference paths), then a tiny-scale\n\
-  \                 micro-bench pass; exits non-zero on any mismatch\n\
+  \  --smoke        run every selected micro workload on a tiny quota, so a\n\
+  \                 workload that raises fails fast\n\
   \  --help, -h     print this help\n"
 
-type config = {
-  scale : float;
-  only : string option;
-  micro : bool;
-  tables : bool;
-  smoke : bool;
-  jobs : int;
-  json : string option;
-  filter : string option;
-}
+type config = { smoke : bool; json : string option; filter : string option }
 
 (* Workload selection: shell-style glob with [*] (any run) and [?] (any one
    character); everything else matches literally. *)
@@ -80,146 +61,19 @@ let die msg =
   exit 2
 
 let parse_args () =
-  let cfg =
-    ref
-      {
-        scale = 0.05;
-        only = None;
-        micro = true;
-        tables = true;
-        smoke = false;
-        jobs = Pipeline.default_jobs ();
-        json = None;
-        filter = None;
-      }
-  in
-  let float_value flag v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> die (Printf.sprintf "%s expects a number, got %S" flag v)
-  in
-  let int_value flag v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> die (Printf.sprintf "%s expects an integer, got %S" flag v)
-  in
-  let rec go = function
-    | [] -> ()
+  let rec go cfg = function
+    | [] -> cfg
     | ("--help" | "-h") :: _ ->
         print_string usage;
         exit 0
-    | "--scale" :: v :: rest ->
-        let scale = float_value "--scale" v in
-        if not (scale > 0.0 && scale <= 1.0) then
-          die (Printf.sprintf "--scale must be in (0, 1], got %g" scale);
-        cfg := { !cfg with scale };
-        go rest
-    | "--only" :: v :: rest ->
-        cfg := { !cfg with only = Some v };
-        go rest
-    | ("--jobs" | "-j") :: v :: rest ->
-        let jobs = int_value "--jobs" v in
-        if jobs < 1 then die "--jobs must be >= 1";
-        cfg := { !cfg with jobs };
-        go rest
-    | "--json" :: v :: rest ->
-        cfg := { !cfg with json = Some v };
-        go rest
-    | "--filter" :: v :: rest ->
-        cfg := { !cfg with filter = Some v };
-        go rest
-    | "--no-micro" :: rest ->
-        cfg := { !cfg with micro = false };
-        go rest
-    | "--micro-only" :: rest ->
-        cfg := { !cfg with tables = false };
-        go rest
-    | "--smoke" :: rest ->
-        cfg := { !cfg with smoke = true; tables = false };
-        go rest
-    | [ flag ] when flag = "--scale" || flag = "--only" || flag = "--jobs"
-                    || flag = "-j" || flag = "--json" || flag = "--filter" ->
-        die (flag ^ " expects a value")
+    | "--json" :: v :: rest -> go { cfg with json = Some v } rest
+    | "--filter" :: v :: rest -> go { cfg with filter = Some v } rest
+    | "--smoke" :: rest -> go { cfg with smoke = true } rest
+    | [ ("--json" | "--filter") as flag ] -> die (flag ^ " expects a value")
     | arg :: _ -> die ("unknown argument " ^ arg)
   in
-  go (List.tl (Array.to_list Sys.argv));
-  !cfg
-
-(* --- experiments, with per-experiment wall timing --- *)
-
-type exp_timing = { exp_id : string; seconds : float }
-
-type run_report = {
-  generate_s : float;
-  analyze_s : float;
-  timings : exp_timing list;  (* per rendered experiment, in paper order *)
-}
-
-let run_experiments ~scale ~only ~jobs =
-  Printf.printf "== Synthetic population (scale %.3f => ~%d domains, %d job%s) ==\n%!"
-    scale
-    (int_of_float (Float.round (float_of_int Calibration.full_population *. scale)))
-    jobs
-    (if jobs = 1 then "" else "s");
-  let t0 = wall_s () in
-  let pop = Population.generate ~scale () in
-  let generate_s = wall_s () -. t0 in
-  Printf.printf "generated in %.1fs; analyzing...\n%!" generate_s;
-  let t1 = wall_s () in
-  let analysis = Experiments.analyze ~jobs pop in
-  let analyze_s = wall_s () -. t1 in
-  Printf.printf "analysis complete at %.1fs\n\n%!" (wall_s () -. t0);
-  (* Mirrors [Experiments.run_all], with a wall clock around each entry so
-     --json can record a per-experiment perf trajectory. *)
-  let suite : (unit -> Experiments.result) list =
-    [ (fun () -> Experiments.dataset_overview analysis);
-      (fun () -> Experiments.table1 ());
-      (fun () -> Experiments.table2 ());
-      (fun () -> Experiments.table3 analysis);
-      (fun () -> Experiments.table4 ());
-      (fun () -> Experiments.table5 analysis);
-      (fun () -> Experiments.table6 analysis);
-      (fun () -> Experiments.table7 analysis);
-      (fun () -> Experiments.table8 analysis);
-      (fun () -> Experiments.table9 ());
-      (fun () -> Experiments.table10 analysis);
-      (fun () -> Experiments.table11 analysis);
-      (fun () -> Experiments.figure1 analysis);
-      (fun () -> Experiments.figure2 analysis);
-      (fun () -> Experiments.figure3 analysis);
-      (fun () -> Experiments.figure4 analysis);
-      (fun () -> Experiments.figure5 analysis);
-      (fun () -> Experiments.section5_2 analysis);
-      (fun () -> Experiments.section6 analysis) ]
-  in
-  let timed =
-    List.map
-      (fun f ->
-        let t = wall_s () in
-        let r = f () in
-        (r, wall_s () -. t))
-      suite
-  in
-  let selected =
-    match only with
-    | None -> timed
-    | Some id -> List.filter (fun (r, _) -> r.Experiments.id = id) timed
-  in
-  if selected = [] then die "unknown experiment id";
-  List.iter
-    (fun (r, _) ->
-      print_endline (Chaoschain_report.Report.to_text r);
-      print_newline ())
-    selected;
-  {
-    generate_s;
-    analyze_s;
-    timings =
-      List.map
-        (fun ((r : Experiments.result), s) ->
-          { exp_id = r.Experiments.id; seconds = s })
-        selected;
-  }
+  go { smoke = false; json = None; filter = None }
+    (List.tl (Array.to_list Sys.argv))
 
 (* --- micro-benchmarks --- *)
 
@@ -317,11 +171,6 @@ let micro_workloads () =
           failwith "derfuzz bench found a divergence" );
     ( "pem/decode-chain",
       fun () -> ignore (Chaoschain_deployment.Pem.decode_certs pem_text) );
-    ( "pem/decode-chain(no-intern)",
-      fun () ->
-        Chaoschain_pki.Intern.set_enabled false;
-        ignore (Chaoschain_deployment.Pem.decode_certs pem_text);
-        Chaoschain_pki.Intern.set_enabled true );
     ( "certmsg/encode-1.2",
       fun () -> ignore (Chaoschain_tlssim.Certmsg.encode msg12) );
     ( "certmsg/encode-1.3",
@@ -546,104 +395,10 @@ let run_micro ?(quota_s = 1.0) ?(warmup_s = 0.05) ?filter () =
   List.rev !collected
   end
 
-(* --- smoke: fast paths must agree with the reference paths --- *)
-
-let smoke_checks () =
-  let module Sha256 = Chaoschain_crypto.Sha256 in
-  let module Der = Chaoschain_der.Der in
-  let module Cert = Chaoschain_x509.Cert in
-  let module Intern = Chaoschain_pki.Intern in
-  let module Pem = Chaoschain_deployment.Pem in
-  let module Base64 = Chaoschain_deployment.Base64 in
-  let failures = ref 0 in
-  let check what ok =
-    if not ok then begin
-      incr failures;
-      Printf.eprintf "SMOKE FAIL: %s\n%!" what
-    end
-  in
-  (* FIPS 180-4 vectors. *)
-  List.iter
-    (fun (msg, hex) -> check ("sha256 " ^ hex) (Sha256.hexdigest msg = hex))
-    [ ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-      ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" ) ];
-  (* Streaming equals one-shot across split points. *)
-  let msg = String.init 300 (fun i -> Char.chr (i land 0xFF)) in
-  List.iter
-    (fun cut ->
-      let ctx = Sha256.init () in
-      Sha256.feed ctx (String.sub msg 0 cut);
-      Sha256.feed ctx (String.sub msg cut (String.length msg - cut));
-      check
-        (Printf.sprintf "sha256 streaming split %d" cut)
-        (Sha256.finalize ctx = Sha256.digest msg))
-    [ 0; 1; 63; 64; 65; 128; 300 ];
-  check "sha256 digest_sub"
-    (Sha256.digest_sub msg 17 100 = Sha256.digest (String.sub msg 17 100));
-  (* Slice decode equals tree decode on fixture certificates. *)
-  let fx = Capability.fixture Capability.Order_reorganization in
-  List.iter
-    (fun cert ->
-      let raw = Cert.to_der cert in
-      check "der slice=tree"
-        (Der.decode_slice (Der.slice_of_string raw) = Der.decode raw);
-      (* The independent second decoder agrees structurally on the same
-         certificates (the derfuzz precondition). *)
-      check "der2 agrees with der"
-        (match (Der.decode raw, Chaoschain_der2.Der2.decode raw) with
-        | Ok t, Ok t2 -> Chaoschain_fuzz.Oracle.agree t t2
-        | _ -> false))
-    fx.Capability.served;
-  (* Interned decode is byte-identical to a fresh parse. *)
-  let pem_text = Pem.encode_certs fx.Capability.served in
-  let ders certs = List.map Cert.to_der certs in
-  Intern.set_enabled false;
-  let plain = Pem.decode_certs pem_text in
-  Intern.set_enabled true;
-  let interned = Pem.decode_certs pem_text in
-  check "intern on/off byte-identity"
-    (match (plain, interned) with
-    | Ok a, Ok b -> ders a = ders b
-    | _ -> false);
-  (* Base64 round-trip. *)
-  let blob = String.init 257 (fun i -> Char.chr ((i * 7) land 0xFF)) in
-  check "base64 round-trip" (Base64.decode (Base64.encode blob) = Ok blob);
-  check "base64 malformed length" (Base64.decode "abc" = Error "base64: length not a multiple of 4");
-  !failures
-
-let run_smoke () =
-  Printf.printf "== smoke: fast-path cross-checks ==\n%!";
-  let failures = smoke_checks () in
-  if failures > 0 then begin
-    Printf.eprintf "%d smoke check(s) failed\n%!" failures;
-    exit 1
-  end;
-  Printf.printf "all fast-path cross-checks passed\n%!"
-
 (* --- machine-readable timing dump (--json) --- *)
 
-let json_of_run ~cfg ~(experiments : run_report option) ~(micro : micro_result list)
-    ~(wall : wall_result list) =
+let json_of_run ~(micro : micro_result list) ~(wall : wall_result list) =
   let opt_float = function Some f -> Json.Float f | None -> Json.Null in
-  let experiments_json =
-    match experiments with
-    | None -> []
-    | Some rr ->
-        [ ( "phases",
-            Json.Obj
-              [ ("generate_s", Json.Float rr.generate_s);
-                ("analyze_s", Json.Float rr.analyze_s) ] );
-          ( "experiments",
-            Json.List
-              (List.map
-                 (fun t ->
-                   Json.Obj
-                     [ ("id", Json.String t.exp_id);
-                       ("seconds", Json.Float t.seconds) ])
-                 rr.timings) ) ]
-  in
   let micro_json =
     match micro with
     | [] -> []
@@ -673,29 +428,19 @@ let json_of_run ~cfg ~(experiments : run_report option) ~(micro : micro_result l
                        ("note", Json.String w.w_note) ])
                  l) ) ]
   in
-  Json.Obj
-    ([ ("scale", Json.Float cfg.scale); ("jobs", Json.Int cfg.jobs) ]
-    @ experiments_json @ micro_json @ wall_json)
+  Json.Obj (micro_json @ wall_json)
 
 let () =
   let cfg = parse_args () in
-  if cfg.smoke then run_smoke ();
-  let experiments =
-    if cfg.tables then
-      Some (run_experiments ~scale:cfg.scale ~only:cfg.only ~jobs:cfg.jobs)
-    else None
-  in
   let micro =
     if cfg.smoke then run_micro ~quota_s:0.02 ~warmup_s:0.005 ?filter:cfg.filter ()
-    else if cfg.micro then run_micro ?filter:cfg.filter ()
-    else []
+    else run_micro ?filter:cfg.filter ()
   in
-  let wall = if cfg.micro then run_wall ~filter:cfg.filter else [] in
+  let wall = run_wall ~filter:cfg.filter in
   match cfg.json with
   | None -> ()
   | Some path ->
       Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc
-            (Json.to_string (json_of_run ~cfg ~experiments ~micro ~wall));
+          Out_channel.output_string oc (Json.to_string (json_of_run ~micro ~wall));
           Out_channel.output_char oc '\n');
       Printf.printf "timings written to %s\n%!" path

@@ -19,7 +19,7 @@
      serve     — chaind: the online chain-compliance query service
                  (stdio, or many connections via --listen / netd)
      loadgen   — open-loop load generator + latency report for chaind
-     reproduce — regenerate paper tables/figures (same engine as bench) *)
+     reproduce — regenerate paper tables/figures *)
 
 open Cmdliner
 open Chaoschain_core
@@ -101,17 +101,6 @@ let domain_arg =
   let doc = "Domain name the chain was served for." in
   Arg.(value & opt string "example.com" & info [ "domain"; "d" ] ~doc)
 
-let no_intern_arg =
-  let doc =
-    "Disable the process-wide certificate intern cache (every decode parses \
-     from scratch). Results are identical either way; the flag exists for \
-     A/B debugging and timing."
-  in
-  Arg.(value & flag & info [ "no-intern" ] ~doc)
-
-let apply_intern no_intern =
-  if no_intern then Chaoschain_pki.Intern.set_enabled false
-
 let read_chain path =
   let text =
     if path = "-" then In_channel.input_all stdin
@@ -139,14 +128,6 @@ let tls_format_arg =
                  certificate_list) or $(b,1.3) (RFC 8446 per-entry framing \
                  with extension blocks).")
 
-let tls_format_opt_arg =
-  Arg.(value & opt (some tls_format_conv) None
-       & info [ "tls-format" ] ~docv:"VERSION"
-           ~doc:"Framing assumed for \"certmsg\" checks that do not declare \
-                 one: $(b,1.2) or $(b,1.3). Omitted, the framing is \
-                 auto-detected per request. Verdicts are byte-identical \
-                 either way.")
-
 (* --- analyze --- *)
 
 let analyze_format_arg =
@@ -156,8 +137,7 @@ let analyze_format_arg =
            ~doc:"Output renderer: $(b,text), $(b,json) or $(b,md).")
 
 let analyze_cmd =
-  let run path domain scale fmt no_intern =
-    apply_intern no_intern;
+  let run path domain scale fmt =
     match read_chain path with
     | Error e -> `Error (false, e)
     | Ok [] -> `Error (false, "no certificates in input")
@@ -183,13 +163,12 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Server-side structural compliance report")
     Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg
-               $ analyze_format_arg $ no_intern_arg))
+               $ analyze_format_arg))
 
 (* --- difftest --- *)
 
 let difftest_cmd =
-  let run path domain scale no_intern =
-    apply_intern no_intern;
+  let run path domain scale =
     match read_chain path with
     | Error e -> `Error (false, e)
     | Ok certs ->
@@ -211,7 +190,7 @@ let difftest_cmd =
   in
   Cmd.v
     (Cmd.info "difftest" ~doc:"Validate a chain in all eight client models")
-    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg $ no_intern_arg))
+    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg))
 
 (* --- matrix --- *)
 
@@ -227,8 +206,7 @@ let matrix_cmd =
 (* --- recommend --- *)
 
 let recommend_cmd =
-  let run path domain scale no_intern =
-    apply_intern no_intern;
+  let run path domain scale =
     match read_chain path with
     | Error e -> `Error (false, e)
     | Ok certs ->
@@ -259,7 +237,7 @@ let recommend_cmd =
   Cmd.v
     (Cmd.info "recommend"
        ~doc:"Section 6 remediation advice (and a corrected chain if derivable)")
-    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg $ no_intern_arg))
+    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg))
 
 (* --- fuzz --- *)
 
@@ -270,8 +248,7 @@ let fuzz_cmd =
   let seed_arg =
     Arg.(value & opt int 4242 & info [ "seed" ] ~doc:"PRNG seed.")
   in
-  let run iterations seed scale no_intern =
-    apply_intern no_intern;
+  let run iterations seed scale =
     with_lab scale (fun pop ->
     let env = Population.env pop in
     let seeds =
@@ -304,7 +281,7 @@ let fuzz_cmd =
        ~doc:"Frankencert-style structural fuzzing of the eight client models \
              (chain-level mutations over parsed certificates; for byte-level \
              DER mutations through the two decoders, see $(b,derfuzz))")
-    Term.(ret (const run $ iterations_arg $ seed_arg $ scale_arg $ no_intern_arg))
+    Term.(ret (const run $ iterations_arg $ seed_arg $ scale_arg))
 
 (* --- scan / replay / audit (chainstore) --- *)
 
@@ -428,8 +405,7 @@ let derfuzz_cmd =
              ~doc:"Write exemplar mutants as '<outcome> <hex>' lines to \
                    $(docv) (the test/golden/der_fuzz.seeds format).")
   in
-  let run iters seed max_mutations scale jobs fmt out seeds_out no_intern =
-    apply_intern no_intern;
+  let run iters seed max_mutations scale jobs fmt out seeds_out =
     if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else if iters < 0 then `Error (true, "--iters must be >= 0")
     else if max_mutations < 1 then `Error (true, "--max-mutations must be >= 1")
@@ -506,7 +482,7 @@ let derfuzz_cmd =
              fuzzing of the client models, see $(b,fuzz).")
     Term.(ret (const run $ iters_arg $ seed_arg $ max_mutations_arg
                $ scale_arg $ jobs_pipeline_arg $ format_arg $ out_arg
-               $ seeds_out_arg $ no_intern_arg))
+               $ seeds_out_arg))
 
 let scan_cmd =
   let store_arg =
@@ -518,8 +494,7 @@ let scan_cmd =
                    full trust environment, and a Merkle root over the \
                    observation log.")
   in
-  let run scale jobs store fmt tls_format check_paper inject no_intern =
-    apply_intern no_intern;
+  let run scale jobs store fmt tls_format check_paper inject =
     if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else
       with_lab scale (fun pop ->
@@ -551,7 +526,7 @@ let scan_cmd =
              identical for either)")
     Term.(ret (const run $ scale_arg $ jobs_pipeline_arg $ store_arg
                $ format_arg $ tls_format_arg $ check_paper_arg
-               $ inject_deviation_arg $ no_intern_arg))
+               $ inject_deviation_arg))
 
 let replay_cmd =
   let store_arg =
@@ -559,8 +534,7 @@ let replay_cmd =
          & info [ "store" ] ~docv:"DIR"
              ~doc:"Chainstore directory written by 'scan --store'.")
   in
-  let run store jobs fmt check_paper no_index no_intern =
-    apply_intern no_intern;
+  let run store jobs fmt check_paper no_index =
     if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else
       match Corpus.load ~jobs ~use_index:(not no_index) store with
@@ -582,7 +556,7 @@ let replay_cmd =
              persisted corpus, without regenerating the population; stdout \
              is byte-identical to the scan that wrote the store")
     Term.(ret (const run $ store_arg $ jobs_pipeline_arg $ format_arg
-               $ check_paper_arg $ no_index_arg $ no_intern_arg))
+               $ check_paper_arg $ no_index_arg))
 
 (* --- classify: parsifal-style corpus query --- *)
 
@@ -592,8 +566,7 @@ let classify_cmd =
          & info [ "store" ] ~docv:"DIR"
              ~doc:"Chainstore directory written by 'scan --store'.")
   in
-  let run store fmt no_intern =
-    apply_intern no_intern;
+  let run store fmt =
     match Corpus.load store with
     | Error e -> `Error (false, e)
     | Ok loaded ->
@@ -608,7 +581,7 @@ let classify_cmd =
              self-contained, transvalid, unbuildable, unused certificates) \
              and report TLS 1.2/1.3 Certificate-message decode agreement \
              and framing overhead")
-    Term.(ret (const run $ store_arg $ format_arg $ no_intern_arg))
+    Term.(ret (const run $ store_arg $ format_arg))
 
 (* --- certmsg: encode a chain as a raw TLS Certificate message --- *)
 
@@ -620,8 +593,7 @@ let certmsg_cmd =
                    (at most 255 bytes; server certificates use the empty \
                    default). Rejected with --tls-format 1.2.")
   in
-  let run path tls_format context no_intern =
-    apply_intern no_intern;
+  let run path tls_format context =
     if context <> "" && tls_format = Certmsg.Tls12 then
       `Error (true, "--context requires --tls-format 1.3")
     else if String.length context > 255 then
@@ -640,8 +612,7 @@ let certmsg_cmd =
        ~doc:"Encode a PEM chain as a raw TLS Certificate message \
              (base64 on stdout) in either wire framing — the payload format \
              of chaind's \"certmsg\" checks")
-    Term.(ret (const run $ chain_arg $ tls_format_arg $ context_arg
-               $ no_intern_arg))
+    Term.(ret (const run $ chain_arg $ tls_format_arg $ context_arg))
 
 (* --- diff: per-cell comparison of two persisted corpora --- *)
 
@@ -654,8 +625,7 @@ let diff_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"STORE-B" ~doc:"Second chainstore directory.")
   in
-  let run a b jobs no_intern =
-    apply_intern no_intern;
+  let run a b jobs =
     if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else
       match (Corpus.load a, Corpus.load b) with
@@ -694,8 +664,7 @@ let diff_cmd =
              from two persisted corpora and report per-cell deltas by stable \
              cell path; identical corpora print nothing but a summary and \
              exit 0, any difference exits non-zero")
-    Term.(ret (const run $ store_a_arg $ store_b_arg $ jobs_pipeline_arg
-               $ no_intern_arg))
+    Term.(ret (const run $ store_a_arg $ store_b_arg $ jobs_pipeline_arg))
 
 let audit_cmd =
   let store_arg =
@@ -987,9 +956,9 @@ let serve_cmd =
          & info [ "shards" ]
              ~doc:"Event-loop shards (netd only): each runs its own \
                    Domain, poller and engine over a share of the accepted \
-                   connections (SO_REUSEPORT on TCP where available, else \
-                   a round-robin accept dispatcher). Verdicts are \
-                   byte-identical at every shard count.")
+                   connections, which shard 0's listener deals out \
+                   round-robin. Verdicts are byte-identical at every shard \
+                   count.")
   in
   let write_buf_arg =
     Arg.(value & opt int Netloop.default_config.Netloop.write_bound
@@ -1004,9 +973,8 @@ let serve_cmd =
              ~doc:"Global bound on parsed frames awaiting admission; all \
                    reading pauses past it.")
   in
-  let run scale cache queue batch jobs max_frame warm_store tls_format
-      no_intern listen max_conns write_buf inbox poller shards =
-    apply_intern no_intern;
+  let run scale cache queue batch jobs max_frame warm_store listen max_conns
+      write_buf inbox poller shards =
     if cache < 0 then `Error (true, "--cache must be >= 0")
     else if queue < 1 then `Error (true, "--queue must be >= 1")
     else if batch < 1 then `Error (true, "--batch must be >= 1")
@@ -1056,8 +1024,7 @@ let serve_cmd =
           let engines =
             List.init n_engines (fun _ ->
                 Service.Engine.create ~env ~cache_capacity:cache
-                  ~queue_capacity:queue ~batch ~jobs
-                  ?default_format:tls_format ())
+                  ~queue_capacity:queue ~batch ~jobs ())
           in
           let engine = List.hd engines in
           (match warm_corpus with
@@ -1171,9 +1138,8 @@ let serve_cmd =
              either wire framing")
     Term.(ret (const run $ scale_arg $ cache_arg $ queue_arg $ batch_arg
                $ jobs_arg $ max_frame_arg $ warm_store_arg
-               $ tls_format_opt_arg $ no_intern_arg $ listen_arg
-               $ max_conns_arg $ write_buf_arg $ inbox_arg $ poller_arg
-               $ shards_arg))
+               $ listen_arg $ max_conns_arg $ write_buf_arg $ inbox_arg
+               $ poller_arg $ shards_arg))
 
 (* --- loadgen --- *)
 
@@ -1444,7 +1410,8 @@ let pollers_cmd =
 let reproduce_cmd =
   let scale_arg =
     Arg.(value & opt float 0.05
-         & info [ "scale" ] ~doc:"Population scale (1.0 = Tranco Top-1M).")
+         & info [ "scale" ]
+             ~doc:"Population scale in (0, 1] (1.0 = Tranco Top-1M).")
   in
   let only_arg =
     Arg.(value & opt (some string) None
@@ -1457,32 +1424,29 @@ let reproduce_cmd =
                    sequential; default: all cores). Output is identical for \
                    every value.")
   in
-  let run scale only jobs fmt check_paper inject no_intern =
-    apply_intern no_intern;
+  let run scale only jobs fmt check_paper inject =
     if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else begin
-    let pop = Population.generate ~scale () in
-    let analysis = Experiments.analyze ~jobs pop in
-    let results = Experiments.run_all analysis in
-    let selected =
-      match only with
-      | None -> results
-      | Some id -> List.filter (fun r -> r.Experiments.id = id) results
-    in
-    if selected = [] then `Error (false, "unknown experiment id")
-    else begin
-      let selected =
-        if inject then Report.inject_deviation selected else selected
-      in
-      print_results fmt selected;
-      if check_paper then run_paper_check selected else `Ok ()
-    end
-    end
+    else
+      with_lab scale (fun pop ->
+          let results = Experiments.run_all (Experiments.analyze ~jobs pop) in
+          let selected =
+            match only with
+            | None -> results
+            | Some id -> List.filter (fun r -> r.Experiments.id = id) results
+          in
+          if selected = [] then `Error (false, "unknown experiment id")
+          else begin
+            let selected =
+              if inject then Report.inject_deviation selected else selected
+            in
+            print_results fmt selected;
+            if check_paper then run_paper_check selected else `Ok ()
+          end)
   in
   Cmd.v
     (Cmd.info "reproduce" ~doc:"Regenerate the paper's tables and figures")
     Term.(ret (const run $ scale_arg $ only_arg $ jobs_arg $ format_arg
-               $ check_paper_arg $ inject_deviation_arg $ no_intern_arg))
+               $ check_paper_arg $ inject_deviation_arg))
 
 let () =
   let doc = "Web PKI certificate-chain deployment and construction analysis" in

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Local CI: full build, test suite, the bench smokes, every chaoscheck smoke
+# Local CI: full build, test suite, the bench smoke, every chaoscheck smoke
 # in ci/, the committed bench snapshots, EXPERIMENTS.md freshness and the
 # repository benchmark's own smoke test. Each smoke is defined once, in its
 # ci/<name>.sh script, and runs once: `dune build` runs the seven that
@@ -11,8 +11,8 @@ cd "$(dirname "$0")"
 dune build
 dune runtest
 
-# The parallel measurement run and the perf smoke (fast paths cross-checked
-# against the reference paths), defined as the bench `ci` alias.
+# The perf smoke (every micro workload on a tiny quota), defined as the
+# bench `ci` alias.
 dune build --force @bench/ci
 
 chaoscheck=./_build/default/bin/chaoscheck.exe
@@ -23,7 +23,7 @@ trap 'rm -rf "$s"' EXIT
 
 # bench JSON: the micro section must carry the store workloads and the
 # committed BENCH_PR8.json protocol snapshot must parse with the same shape.
-dune exec bench/main.exe -- --micro-only --filter 'store/merkle-proof(1024)' \
+dune exec bench/main.exe -- --filter 'store/merkle-proof(1024)' \
   --json "$s/bench.json" > /dev/null
 jq -e '.micro | length >= 1' "$s/bench.json" > /dev/null
 jq -e '.micro[] | select(.name == "store/merkle-proof(1024)")' \
@@ -46,7 +46,7 @@ jq -e '.derfuzz[] | select(.name == "derfuzz/campaign(32)")
 # this platform offers, and the committed BENCH_PR10.json snapshot must
 # carry both backends plus drop-free shard-scaling loadgen runs at >= 4x
 # the PR 7 smoke's 8 connections.
-dune exec bench/main.exe -- --micro-only --filter 'net/*' \
+dune exec bench/main.exe -- --filter 'net/*' \
   --json "$s/netbench.json" > /dev/null
 jq -e '.micro[] | select(.name == "net/poll-wait(select,64fd)")
        | .ns_per_run > 0' "$s/netbench.json" > /dev/null

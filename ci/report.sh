@@ -2,7 +2,8 @@
 # report smoke: --format json is byte-identical across parallelism and
 # across scan vs replay, and jq can parse it; --check-paper is green on
 # the seed population and red (naming the deviating cell) under
-# --inject-deviation; `chaoscheck diff` agrees a corpus with itself.
+# --inject-deviation; `chaoscheck diff` agrees a corpus with itself;
+# `reproduce --scale 0` is a usage error, not an uncaught exception.
 #
 # Usage: ci/report.sh CHAOSCHECK
 set -eu
@@ -28,3 +29,10 @@ fi
 grep -q 'check-paper: dataset/' "$s/inject.err"
 grep -q 'check-paper: dataset/TLS 1.2 vs 1.3 identical chains' "$s/inject.err"
 "$cc" diff "$s/store" "$s/store" | grep -q 'corpora agree'
+# a bad --scale is a usage error (exit 124) naming the flag, not a crash
+set +e
+"$cc" reproduce --scale 0 > /dev/null 2> "$s/scale.err"
+rc=$?
+set -e
+test "$rc" -eq 124
+grep -q -- '--scale' "$s/scale.err"

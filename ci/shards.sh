@@ -5,8 +5,8 @@
 # failures, and the reply stream must be byte-identical to a --shards 1 run
 # and to the stdio path. The select run always executes; the epoll run
 # repeats it whenever `chaoscheck pollers` says the platform has the
-# backend. A TCP run covers the SO_REUSEPORT listener-per-shard path (the
-# Unix sockets take the round-robin dispatcher).
+# backend. A TCP run covers the same round-robin accept dispatcher over
+# TCP (every address family takes that one path).
 #
 # Usage: ci/shards.sh CHAOSCHECK
 set -eu

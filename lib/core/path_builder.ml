@@ -6,7 +6,6 @@ type error =
   | Input_list_too_long of { limit : int; got : int }
   | Self_signed_leaf_rejected
   | No_issuer_found of Dn.t
-  | Path_too_long of { limit : int }
 
 let error_to_string = function
   | Empty_chain -> "empty certificate list"
@@ -15,8 +14,6 @@ let error_to_string = function
   | Self_signed_leaf_rejected -> "self-signed leaf certificate rejected"
   | No_issuer_found dn ->
       Printf.sprintf "unable to get issuer certificate for '%s'" (Dn.to_string dn)
-  | Path_too_long { limit } ->
-      Printf.sprintf "constructed path exceeds maximum length %d" limit
 
 type context = {
   params : Build_params.t;
@@ -50,8 +47,10 @@ let source_position = function
 
 let epoch = Vtime.make ~y:1970 ~m:1 ~d:1 ()
 
-(* Smaller key sorts first. *)
-let rank_key ctx ~child cand =
+(* Smaller key sorts first. [intermediates_below] counts the certificates
+   already on the path beneath the candidate, the leaf excluded: a
+   pathLenConstraint below it would make the path invalid. *)
+let rank_key ctx ~child ~intermediates_below cand =
   let p = ctx.params in
   let c = cand.cert in
   let kid_rank =
@@ -79,13 +78,10 @@ let rank_key ctx ~child cand =
     if not p.Build_params.bc_priority then 0
     else
       match Cert.basic_constraints c with
-      | Some { Extension.ca = true; path_len } -> (
-          (* Intermediates already below the candidate, excluding the leaf. *)
-          match path_len with
-          | None -> 0
-          | Some n -> if n >= 0 && n + 1 >= 1 then 0 else 1)
-      | Some { Extension.ca = false; _ } -> 1
-      | None -> 1
+      | Some { Extension.ca = true; path_len = None } -> 0
+      | Some { Extension.ca = true; path_len = Some n } ->
+          if n >= intermediates_below then 0 else 1
+      | Some { Extension.ca = false; _ } | None -> 1
   in
   let sig_alg_rank =
     if p.Build_params.check_sig_alg && not (Relation.sig_alg_compatible ~issuer:c ~child)
@@ -106,38 +102,13 @@ let rank_key ctx ~child cand =
   @ validity_ranks
   @ [ source_position cand.source ]
 
-(* bc_rank needs the depth of the candidate in the path; recompute properly. *)
-let bc_rank_at_depth cand ~intermediates_below =
-  match Cert.basic_constraints cand.cert with
-  | Some { Extension.ca = true; path_len = None } -> 0
-  | Some { Extension.ca = true; path_len = Some n } ->
-      if n >= intermediates_below then 0 else 1
-  | Some { Extension.ca = false; _ } -> 1
-  | None -> 1
-
 let compare_keys = List.compare Int.compare
 
 let rank_candidates ctx ~child ~path_len_so_far cands =
-  let keyed =
-    List.map
-      (fun cand ->
-        let base = rank_key ctx ~child cand in
-        let key =
-          if ctx.params.Build_params.bc_priority then
-            (* Replace the coarse bc rank (index 4) with the depth-aware one:
-               intermediates below the candidate = certificates already in
-               the path except the leaf. *)
-            List.mapi
-              (fun i v ->
-                if i = 4 then bc_rank_at_depth cand ~intermediates_below:(path_len_so_far - 1)
-                else v)
-              base
-          else base
-        in
-        (key, cand))
-      cands
-  in
-  List.stable_sort (fun (a, _) (b, _) -> compare_keys a b) keyed |> List.map snd
+  let intermediates_below = path_len_so_far - 1 in
+  List.map (fun cand -> (rank_key ctx ~child ~intermediates_below cand, cand)) cands
+  |> List.stable_sort (fun (a, _) (b, _) -> compare_keys a b)
+  |> List.map snd
 
 let name_chains_to ~candidate ~child = Relation.issued_by_name ~issuer:candidate ~child
 

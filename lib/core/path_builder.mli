@@ -27,7 +27,6 @@ type error =
   | No_issuer_found of Dn.t
       (** construction dead-ended; the DN is the issuer that could not be
           located (OpenSSL's "unable to get local issuer certificate") *)
-  | Path_too_long of { limit : int }
 
 val error_to_string : error -> string
 

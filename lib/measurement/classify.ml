@@ -27,15 +27,34 @@ type t = {
   agreement : format_agreement;
 }
 
-(* Loose DN index key: RFC 5280 name chaining compares caseIgnore with
-   whitespace runs folded, so the hashtable key lowercases the rendered DN;
-   candidates behind one key are still confirmed with [Dn.equal]. *)
-let dn_key dn = String.lowercase_ascii (Dn.to_string dn)
+(* Certificates indexed by one of their names under RFC 5280 name
+   chaining: buckets keyed by the name's precomputed [Dn.hash], each
+   holding the [Dn.equal] classes that share the hash, with their
+   certificates in insertion order. *)
+let index_add tbl hash dn c =
+  let rec add = function
+    | [] -> [ (dn, [ c ]) ]
+    | (d, cs) :: rest when Dn.equal d dn -> (d, cs @ [ c ]) :: rest
+    | cl :: rest -> cl :: add rest
+  in
+  Hashtbl.replace tbl hash
+    (add (Option.value (Hashtbl.find_opt tbl hash) ~default:[]))
 
-(* Walk from the leaf towards a self-signed root, pulling each next hop from
-   [lookup] (either the sent list or the corpus-wide subject index); cycles
-   are cut on certificate fingerprints. Returns the path and whether it
-   reached a self-signed certificate. *)
+let index_find tbl hash dn =
+  match Hashtbl.find_opt tbl hash with
+  | None -> []
+  | Some classes -> (
+      match List.find_opt (fun (d, _) -> Dn.equal d dn) classes with
+      | Some (_, cs) -> cs
+      | None -> [])
+
+let index_classes tbl =
+  Hashtbl.fold (fun _ classes n -> n + List.length classes) tbl 0
+
+(* Walk from the leaf towards a self-signed root, pulling the candidate
+   issuers of each hop from [lookup] (either the sent list or the
+   corpus-wide subject index); cycles are cut on certificate fingerprints.
+   Returns the path and whether it reached a self-signed certificate. *)
 let build_path ~lookup leaf =
   let rec go acc seen c =
     if Cert.is_self_signed c then (List.rev (c :: acc), true)
@@ -45,7 +64,7 @@ let build_path ~lookup leaf =
           (fun cand ->
             (not (List.mem (Cert.fingerprint cand) seen))
             && Dn.equal (Cert.subject cand) (Cert.issuer c))
-          (lookup (Cert.issuer c))
+          (lookup c)
       in
       match next with
       | None -> (List.rev (c :: acc), false)
@@ -79,16 +98,13 @@ type info = {
 let classify_chain ~by_subject chain domains =
   let fps = List.map Cert.fingerprint chain in
   let dups = List.length fps <> List.length (List.sort_uniq compare fps) in
-  let in_sent dn =
-    List.filter (fun c -> Dn.equal (Cert.subject c) dn) chain
+  let in_sent c =
+    List.filter (fun s -> Dn.equal (Cert.subject s) (Cert.issuer c)) chain
   in
-  let in_corpus dn =
+  let in_corpus c =
     (* sent certificates first: a self-contained chain must not be counted
        transvalid just because the corpus also knows its issuers *)
-    in_sent dn
-    @ (match Hashtbl.find_opt by_subject (dn_key dn) with
-      | Some certs -> certs
-      | None -> [])
+    in_sent c @ index_find by_subject (Cert.issuer_hash c) (Cert.issuer c)
   in
   match chain with
   | [] ->
@@ -147,14 +163,10 @@ let run pairs =
   (* The parsifal-style indexes over unique certificates. *)
   let by_subject = Hashtbl.create (Hashtbl.length certs) in
   let by_issuer = Hashtbl.create (Hashtbl.length certs) in
-  let index tbl key c =
-    let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-    Hashtbl.replace tbl key (prev @ [ c ])
-  in
   Hashtbl.iter
     (fun _ c ->
-      index by_subject (dn_key (Cert.subject c)) c;
-      index by_issuer (dn_key (Cert.issuer c)) c)
+      index_add by_subject (Cert.subject_hash c) (Cert.subject c) c;
+      index_add by_issuer (Cert.issuer_hash c) (Cert.issuer c) c)
     certs;
   let infos =
     List.map
@@ -183,8 +195,8 @@ let run pairs =
     domains = Array.length pairs;
     unique_chains = List.length infos;
     unique_certs = Hashtbl.length certs;
-    subject_keys = Hashtbl.length by_subject;
-    issuer_keys = Hashtbl.length by_issuer;
+    subject_keys = index_classes by_subject;
+    issuer_keys = index_classes by_issuer;
     ordered = bucket (fun i -> i.i_ordered);
     unordered = bucket (fun i -> not i.i_ordered);
     with_duplicates = bucket (fun i -> i.i_dups);

@@ -1,9 +1,10 @@
 (** Corpus chain classification — the parsifal-style query over a scanned
     (or replayed) dataset.
 
-    [run] builds two hashtable indexes over the corpus's unique
-    certificates — by subject DN and by issuer DN, keyed loosely per RFC
-    5280 name chaining — and classifies every unique chain against them:
+    [run] builds two indexes over the corpus's unique certificates — by
+    subject DN and by issuer DN, each grouping names under RFC 5280 name
+    chaining ({!Chaoschain_x509.Dn.equal}: case and whitespace runs do not
+    count) — and classifies every unique chain against them:
 
     - is the sent list leaf-first and properly ordered?
     - does it contain bit-for-bit duplicate certificates?
@@ -37,8 +38,8 @@ type t = {
   domains : int;
   unique_chains : int;
   unique_certs : int;
-  subject_keys : int;  (** distinct (loose) subject DNs in the corpus *)
-  issuer_keys : int;   (** distinct (loose) issuer DNs in the corpus *)
+  subject_keys : int;  (** subject DNs in the corpus, up to [Dn.equal] *)
+  issuer_keys : int;   (** issuer DNs in the corpus, up to [Dn.equal] *)
   ordered : chain_stats;
   unordered : chain_stats;
   with_duplicates : chain_stats;

@@ -3,7 +3,8 @@
 
     [analyze] runs the server-side compliance pipeline once over a generated
     population; individual experiments reuse that shared analysis. [run_all]
-    is what [bench/main.exe] and EXPERIMENTS.md generation call. *)
+    is what [chaoscheck reproduce] (and through it EXPERIMENTS.md
+    generation) calls. *)
 
 open Chaoschain_x509
 open Chaoschain_core

@@ -82,10 +82,6 @@ let shards =
         s_lookups = 0;
         s_hits = 0 })
 
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
 let shard_of key = shards.((key.hash lsr shard_shift) land (shard_count - 1))
 
 let with_lock shard f =
@@ -130,12 +126,9 @@ let intern s ~off ~len =
 let cert_of_sub s ~off ~len =
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Intern.cert_of_sub";
-  if not (enabled ()) then Cert.of_der (String.sub s off len)
-  else intern s ~off ~len
+  intern s ~off ~len
 
-let cert_of_der raw =
-  if not (enabled ()) then Cert.of_der raw
-  else intern raw ~off:0 ~len:(String.length raw)
+let cert_of_der raw = intern raw ~off:0 ~len:(String.length raw)
 
 let stats () =
   Array.fold_left

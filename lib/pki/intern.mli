@@ -29,18 +29,11 @@ val cert_of_sub :
     and the byte compare both walk [s] in place); a miss copies it once. Raises
     [Invalid_argument] if the range is out of bounds. *)
 
-val set_enabled : bool -> unit
-(** Globally enable/disable interning (default: enabled). When disabled the
-    functions above parse unconditionally — used by [--no-intern] for A/B
-    debugging. *)
-
-val enabled : unit -> bool
-
 type stats = { entries : int; lookups : int; hits : int }
 
 val stats : unit -> stats
 (** Aggregate counters across all shards: distinct certificates held,
-    interning calls while enabled, and calls answered from the table. *)
+    interning calls, and calls answered from the table. *)
 
 val clear : unit -> unit
 (** Drop all entries and reset counters (tests). *)

@@ -29,10 +29,6 @@ type t = {
   batch : int;
   pool : Pipeline.Pool.t;
   empty_aia : Aia_repo.t;        (* every fetch 404s: the aia:false world *)
-  default_format : Certmsg.format option;
-      (* assumed framing for "certmsg" checks that do not declare one;
-         [None] = auto-detect. NOT part of the verdict key: the verdict
-         depends only on the decoded certificate list. *)
   now : unit -> float;           (* injectable clock for latency timing *)
   mutable store_stats : (string * Json.t) list option;
       (* extra "store" block in stats replies, set by --warm-store *)
@@ -47,7 +43,7 @@ type t = {
 }
 
 let create ~env ?(cache_capacity = 1024) ?(queue_capacity = 64) ?(batch = 8)
-    ?(jobs = 1) ?default_format ?(now = Unix.gettimeofday) () =
+    ?(jobs = 1) ?(now = Unix.gettimeofday) () =
   if cache_capacity < 0 then invalid_arg "Engine.create: cache_capacity >= 0";
   if queue_capacity < 1 then invalid_arg "Engine.create: queue_capacity >= 1";
   if batch < 1 then invalid_arg "Engine.create: batch >= 1";
@@ -61,7 +57,6 @@ let create ~env ?(cache_capacity = 1024) ?(queue_capacity = 64) ?(batch = 8)
     batch;
     pool = Pipeline.Pool.create ~jobs;
     empty_aia = Aia_repo.create ();
-    default_format;
     now;
     store_stats = None;
     experiments_stats = None;
@@ -294,19 +289,19 @@ let with_domain (c : Protocol.check) certs =
   | Some d -> Ok (d, certs)
   | None -> Error ("malformed_frame", "\"domain\" is required")
 
-(* Decode a base64 TLS Certificate message in the declared framing, the
-   engine's default framing, or — absent both — by auto-detection. The
+(* Decode a base64 TLS Certificate message in the declared framing, or
+   by auto-detection when the check declares none. The
    source and framing stop mattering here: downstream, only the decoded
    certificate list (and thus the verdict key) exists, which is what makes
    verdicts byte-identical across the two encodings of one chain. *)
-let resolve_certmsg t (c : Protocol.check) b64 =
+let resolve_certmsg (c : Protocol.check) b64 =
   match Base64.decode b64 with
   | Error e -> Error ("malformed_certmsg", "invalid base64: " ^ e)
   | Ok wire -> (
       let decoded =
-        match (c.Protocol.format, t.default_format) with
-        | Some f, _ | None, Some f -> Certmsg.decode f wire
-        | None, None -> Certmsg.decode_auto wire
+        match c.Protocol.format with
+        | Some f -> Certmsg.decode f wire
+        | None -> Certmsg.decode_auto wire
       in
       match decoded with
       | Error e -> Error ("malformed_certmsg", e)
@@ -327,7 +322,7 @@ let resolve_chain t (c : Protocol.check) =
       | None -> Error ("unknown_scenario", "no scenario matches " ^ scenario)
       | Some (scenario_domain, certs) ->
           Ok (Option.value c.Protocol.domain ~default:scenario_domain, certs))
-  | None, None, Some b64 -> resolve_certmsg t c b64
+  | None, None, Some b64 -> resolve_certmsg c b64
   | None, None, None -> Error ("malformed_frame", "no chain source")
 
 let stats_json t =

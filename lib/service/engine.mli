@@ -48,18 +48,16 @@ val create :
   ?queue_capacity:int ->
   ?batch:int ->
   ?jobs:int ->
-  ?default_format:Chaoschain_tlssim.Certmsg.format ->
   ?now:(unit -> float) ->
   unit ->
   t
 (** Defaults: [cache_capacity = 1024], [queue_capacity = 64], [batch = 8],
     [jobs = 1]. [cache_capacity] must be [>= 0] (0 disables caching), the
-    other three [>= 1] (raises [Invalid_argument]). [default_format] is the
-    framing assumed for ["certmsg"] checks that do not declare one; omitted,
-    the engine auto-detects ({!Chaoschain_tlssim.Certmsg.decode_auto}). The
-    framing never reaches the verdict key, so the same chain delivered under
-    either encoding yields byte-identical verdicts (and shares one cache
-    entry). [now] is the clock used for latency timing (default
+    other three [>= 1] (raises [Invalid_argument]). A ["certmsg"] check
+    that declares no ["format"] is auto-detected
+    ({!Chaoschain_tlssim.Certmsg.decode_auto}). The framing never reaches
+    the verdict key, so the same chain delivered under either encoding
+    yields byte-identical verdicts (and shares one cache entry). [now] is the clock used for latency timing (default
     [Unix.gettimeofday]); injecting a scripted clock makes the latency
     histogram deterministic in tests. *)
 

@@ -103,40 +103,6 @@ let sink engine =
     submit_overlong = (fun ~tag -> Engine.submit_overlong engine ~tag);
   }
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* One SO_REUSEPORT listener per shard, so the kernel balances accepts
-   across the shard loops with no user-space dispatcher. TCP only, and
-   only where the option takes: any failure closes what was opened and
-   reports [None], sending the caller down the dispatcher path. *)
-let reuseport_group addr n =
-  match addr with
-  | Unix_path _ -> None (* SO_REUSEPORT does not apply to Unix sockets *)
-  | Tcp (host, port) ->
-      let make () =
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        match
-          Unix.setsockopt fd Unix.SO_REUSEADDR true;
-          Unix.setsockopt fd Unix.SO_REUSEPORT true;
-          Unix.bind fd (resolve host port);
-          Unix.listen fd 128
-        with
-        | () -> Some fd
-        | exception _ ->
-            close_quiet fd;
-            None
-      in
-      let rec go acc i =
-        if i = n then Some (List.rev acc)
-        else
-          match make () with
-          | Some fd -> go (fd :: acc) (i + 1)
-          | None ->
-              List.iter close_quiet acc;
-              None
-      in
-      go [] 0
-
 (* Run the shard loops to completion: loop 0 on this Domain, the rest on
    spawned Domains, one set of signal handlers draining them all (stop is
    Domain-safe). Every shard is joined before the aggregated stats are
@@ -194,54 +160,40 @@ let serve_stdio ?config ?(input = Unix.stdin) ?(output = Unix.stdout) engine =
         [ input; output ])
     (fun () -> run_loops [ loop ])
 
-let serve_listen ?config ?(backend = Poller.Select) ~engines addr =
-  let run loops =
-    (* a Unix socket path is unlinked on the way out *)
-    Fun.protect
-      ~finally:(fun () ->
-        match addr with
-        | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-        | Tcp _ -> ())
-      (fun () -> Ok (run_loops loops))
-  in
+let shard_loops ?config ?(backend = Poller.Select) ~listen engines =
   match engines with
-  | [] -> Error "serve_listen: at least one engine required"
-  | [ engine ] -> (
-      (* single shard: the PR-7 shape, one loop owning the listener *)
-      match listen_socket addr with
-      | Error _ as e -> e
-      | Ok listen ->
-          run [ Netloop.create ?config ~backend ~listen (sink engine) ])
-  | first :: rest as engines -> (
-      Engine.link_shards engines;
-      let n = List.length engines in
-      match reuseport_group addr n with
-      | Some listeners ->
-          run
-            (List.map2
-               (fun engine listen ->
-                 Netloop.create ?config ~backend ~listen (sink engine))
-               engines listeners)
-      | None -> (
-          (* shard 0 owns the one listener and deals accepted connections
-             round-robin; a shard that refuses (draining, budget spent)
-             forfeits its turn and shard 0 keeps the connection *)
-          match listen_socket addr with
-          | Error _ as e -> e
-          | Ok listen ->
-              let followers =
-                Array.of_list
-                  (List.map
-                     (fun engine -> Netloop.create ?config ~backend (sink engine))
-                     rest)
-              in
-              let rr = ref 0 in
-              let dispatch fd =
-                let target = !rr mod (Array.length followers + 1) in
-                incr rr;
-                target > 0 && Netloop.offer followers.(target - 1) fd
-              in
-              let loop0 =
-                Netloop.create ?config ~backend ~listen ~dispatch (sink first)
-              in
-              run (loop0 :: Array.to_list followers)))
+  | [] -> invalid_arg "Netd.shard_loops: at least one engine required"
+  | first :: rest ->
+      if rest <> [] then Engine.link_shards engines;
+      (* shard 0 owns the listener and deals accepted connections
+         round-robin; a shard that refuses (draining, budget spent)
+         forfeits its turn and shard 0 keeps the connection *)
+      let followers =
+        Array.of_list
+          (List.map
+             (fun engine -> Netloop.create ?config ~backend (sink engine))
+             rest)
+      in
+      let rr = ref 0 in
+      let dispatch fd =
+        let target = !rr mod (Array.length followers + 1) in
+        incr rr;
+        target > 0 && Netloop.offer followers.(target - 1) fd
+      in
+      Netloop.create ?config ~backend ~listen ~dispatch (sink first)
+      :: Array.to_list followers
+
+let serve_listen ?config ?backend ~engines addr =
+  if engines = [] then Error "serve_listen: at least one engine required"
+  else
+    match listen_socket addr with
+    | Error _ as e -> e
+    | Ok listen ->
+        let loops = shard_loops ?config ?backend ~listen engines in
+        (* a Unix socket path is unlinked on the way out *)
+        Fun.protect
+          ~finally:(fun () ->
+            match addr with
+            | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
+            | Tcp _ -> ())
+          (fun () -> Ok (run_loops loops))

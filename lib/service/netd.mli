@@ -31,28 +31,37 @@ val sink : Engine.t -> Chaoschain_net.Netloop.sink
     drain = {!Engine.drain_tagged}, admission gate = {!Engine.can_admit},
     overlong lines = {!Engine.submit_overlong}. *)
 
+val shard_loops :
+  ?config:Chaoschain_net.Netloop.config ->
+  ?backend:Chaoschain_net.Poller.backend ->
+  listen:Unix.file_descr ->
+  Engine.t list ->
+  Chaoschain_net.Netloop.t list
+(** The event loops {!serve_listen} runs, one per engine, shard 0 first.
+    Shard 0 owns [listen] and deals its accepted connections round-robin
+    to itself and the other shards through
+    {!Chaoschain_net.Netloop.offer}; a shard that refuses forfeits its
+    turn and shard 0 keeps the connection. With one engine there are no
+    other shards, and shard 0 keeps every connection. Two or more engines
+    are {!Engine.link_shards}-grouped first. The loops are created, not
+    run. Raises [Invalid_argument] on an empty list. [backend] defaults
+    to [Select]. *)
+
 val serve_listen :
   ?config:Chaoschain_net.Netloop.config ->
   ?backend:Chaoschain_net.Poller.backend ->
   engines:Engine.t list ->
   addr ->
   (Chaoschain_net.Netloop.stats, string) result
-(** Run one event loop per engine on [addr] until [SIGTERM]/[SIGINT]
-    triggers the graceful drain of every shard (stop accepting and
-    adopting, flush in-flight batches and write buffers, close).
-
-    One engine: exactly the single-loop server, on the calling Domain.
-    Several: the engines are {!Engine.link_shards}-grouped and each runs
-    its own loop — shard 0 on the calling Domain, the rest on spawned
-    Domains, joined before returning. A TCP address gets one
-    [SO_REUSEPORT] listener per shard (kernel-balanced accepts) where the
-    option takes; a Unix-socket address — or a platform without the
-    option — gets a single listener on shard 0 whose accepted
-    connections are dealt round-robin to the other shards through
-    {!Chaoschain_net.Netloop.offer}. Verdict replies are byte-identical
-    at every shard count: shards share nothing that affects a verdict
-    (per-shard engines; only metrics and the intern table are shared,
-    both Mutex-guarded).
+(** Listen on [addr] and run the {!shard_loops} of [engines] until
+    [SIGTERM]/[SIGINT] triggers the graceful drain of every shard (stop
+    accepting and adopting, flush in-flight batches and write buffers,
+    close). Shard 0 runs on the calling Domain, the rest on spawned
+    Domains, joined before returning. Every address family and shard
+    count takes this one path: a single listener on shard 0. Verdict
+    replies are byte-identical at every shard count: shards share nothing
+    that affects a verdict (per-shard engines; only metrics and the
+    intern table are shared, both Mutex-guarded).
 
     [backend] (default [Select]) must be available — resolve the user's
     choice with {!Chaoschain_net.Poller.choose} first.

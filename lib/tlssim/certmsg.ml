@@ -217,10 +217,3 @@ let decode_auto s =
             (Printf.sprintf
                "not a TLS 1.2 certificate message (%s) nor TLS 1.3 (%s)" e12
                e13))
-
-(* --- legacy single-format API --- *)
-
-let encode_tls12 cs = encode (of_certs Tls12 cs)
-let decode_tls12 s = Result.map certs (decode_tls12_ir s)
-let encode_tls13 ?context cs = encode (of_certs ?context Tls13 cs)
-let decode_tls13 s = Result.map (fun t -> (t.context, certs t)) (decode_tls13_ir s)

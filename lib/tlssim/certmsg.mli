@@ -74,15 +74,3 @@ val decode_auto : string -> (t, string) result
 (** Try [Tls12] first, then [Tls13]; the error names both failures. For
     realistically sized chains the two framings are non-confusable, so the
     order only matters for pathological inputs. *)
-
-(** {1 Legacy single-format API}
-
-    Thin wrappers over the typed codec; kept for callers that only deal in
-    bare certificate lists. *)
-
-val encode_tls12 : Cert.t list -> string
-val decode_tls12 : string -> (Cert.t list, string) result
-val encode_tls13 : ?context:string -> Cert.t list -> string
-val decode_tls13 : string -> (string * Cert.t list, string) result
-(** Returns the request context and the certificate list (extensions, if
-    any, are surfaced by {!decode} instead). *)

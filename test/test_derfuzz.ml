@@ -24,6 +24,25 @@ let qcheck_der2_accepts_encodings =
       | Ok t, Ok t2 -> Oracle.agree t t2
       | _ -> false)
 
+(* Real certificates, not just generated trees: on the capability
+   fixture's served chain the slice reader equals the tree decoder, and
+   lib/der2 agrees with lib/der (the derfuzz precondition). *)
+let decoders_agree_on_certificates () =
+  let fx =
+    Chaoschain_core.Capability.fixture
+      Chaoschain_core.Capability.Order_reorganization
+  in
+  List.iter
+    (fun cert ->
+      let raw = Chaoschain_x509.Cert.to_der cert in
+      Alcotest.(check bool) "slice = tree" true
+        (Der.decode_slice (Der.slice_of_string raw) = Der.decode raw);
+      Alcotest.(check bool) "der2 agrees with der" true
+        (match (Der.decode raw, Der2.decode raw) with
+        | Ok t, Ok t2 -> Oracle.agree t t2
+        | _ -> false))
+    fx.Chaoschain_core.Capability.served
+
 let qcheck_accept_sets_equal_on_mangled =
   (* Single-byte corruptions and truncations of valid encodings: whatever
      happens, the outcome must stay in the two agreement classes — the
@@ -294,6 +313,8 @@ let golden_seeds_replay () =
 
 let suite =
   [ QCheck_alcotest.to_alcotest qcheck_der2_accepts_encodings;
+    Alcotest.test_case "decoders agree on certificates" `Quick
+      decoders_agree_on_certificates;
     QCheck_alcotest.to_alcotest qcheck_accept_sets_equal_on_mangled;
     QCheck_alcotest.to_alcotest qcheck_no_exceptions_random_bytes;
     Alcotest.test_case "nesting bomb boundary" `Quick nesting_bomb_boundary;

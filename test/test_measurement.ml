@@ -306,6 +306,43 @@ let classify_dataset () =
   Alcotest.(check bool) "report renders" true
     (String.length (Chaoschain_report.Report.to_text (Classify.report c)) > 0)
 
+(* RFC 5280 name chaining ignores case and whitespace runs: a leaf whose
+   issuer DN matches a corpus intermediate's subject only up to case and
+   inner or outer whitespace is still transvalid, and two intermediates
+   whose subjects differ only so are one subject name. *)
+let classify_loose_names () =
+  let module Dn = Chaoschain_x509.Dn in
+  let module Issue = Chaoschain_x509.Issue in
+  let rng = Chaoschain_crypto.Prng.of_label "classify:loose-names" in
+  let ca dn = Issue.spec ~is_ca:true dn in
+  let root = Issue.self_signed rng (ca (Dn.make ~o:"Loose" ~cn:"Loose Root" ())) in
+  let inter dn = Issue.issue rng ~parent:root (ca dn) in
+  let a = inter (Dn.make ~o:"Example Trust" ~cn:"Example Issuing CA" ()) in
+  let b = inter (Dn.make ~o:"  example   TRUST " ~cn:"EXAMPLE issuing  ca" ()) in
+  let c = inter (Dn.make ~o:"Example trust" ~cn:" example Issuing\tCA" ()) in
+  Alcotest.(check bool) "spellings are Dn.equal" true
+    (Dn.equal (Chaoschain_x509.Cert.subject a.Issue.cert)
+       (Chaoschain_x509.Cert.subject b.Issue.cert));
+  let leaf =
+    Issue.issue_cert rng ~parent:a
+      (Issue.spec (Dn.make ~cn:"loose.example" ()))
+  in
+  (* the leaf's own issuer is absent: only the other spellings are *)
+  let r =
+    Classify.run
+      [| ("loose.example", [ leaf ]);
+         ("b.example", [ b.Issue.cert; root.Issue.cert ]);
+         ("c.example", [ c.Issue.cert; root.Issue.cert ]) |]
+  in
+  Alcotest.(check int) "leaf-only chain is transvalid" 1
+    r.Classify.transvalid.Classify.cs_chains;
+  Alcotest.(check int) "nothing unbuildable" 0
+    r.Classify.unbuildable.Classify.cs_chains;
+  (* leaf, root, and the two intermediates as one name *)
+  Alcotest.(check int) "intermediate spellings are one subject" 3
+    r.Classify.subject_keys;
+  Alcotest.(check int) "issuer names" 2 r.Classify.issuer_keys
+
 (* --- scenario resolution (Scenario_index) --- *)
 
 (* The linear resolver the index replaces, kept verbatim as the reference:
@@ -404,4 +441,5 @@ let suite =
     Alcotest.test_case "experiments smoke" `Slow experiments_smoke;
     Alcotest.test_case "experiments golden" `Slow experiments_golden;
     Alcotest.test_case "scanner union" `Slow scanner_union;
-    Alcotest.test_case "classify dataset" `Slow classify_dataset ]
+    Alcotest.test_case "classify dataset" `Slow classify_dataset;
+    Alcotest.test_case "classify loose names" `Quick classify_loose_names ]

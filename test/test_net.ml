@@ -488,8 +488,8 @@ let netloop_engine_byte_identity () =
           Alcotest.(check int) "accepted" n s.Netloop.accepted;
           Alcotest.(check int) "frames" (2 * n) s.Netloop.frames))
 
-(* Two shards behind one listener (the dispatcher topology serve_listen
-   uses for Unix sockets): shard 0 owns the listener and deals every other
+(* Two shards behind one listener, built by the [Netd.shard_loops] that
+   serve_listen runs: shard 0 owns the listener and deals every other
    accepted connection to a second loop running on its own Domain, each
    loop feeding its own engine. Every reply must still be byte-identical
    to the serial [handle_frame] path, both loops must drain on stop, and
@@ -499,19 +499,15 @@ let netloop_sharded_byte_identity () =
   let e0 = Engine.create ~env () in
   let e1 = Engine.create ~env () in
   let serial = Engine.create ~env () in
-  Engine.link_shards [ e0; e1 ];
   Fun.protect
     ~finally:(fun () -> List.iter Engine.shutdown [ e0; e1; serial ])
     (fun () ->
       with_listener @@ fun path listen ->
-      let follower = Netloop.create (Netd.sink e1) in
-      let rr = ref 0 in
-      let dispatch fd =
-        let mine = !rr land 1 = 1 in
-        incr rr;
-        mine && Netloop.offer follower fd
+      let loop0, follower =
+        match Netd.shard_loops ~listen [ e0; e1 ] with
+        | [ l0; l1 ] -> (l0, l1)
+        | _ -> Alcotest.fail "two engines must give two loops"
       in
-      let loop0 = Netloop.create ~listen ~dispatch (Netd.sink e0) in
       let follower_domain = Domain.spawn (fun () -> Netloop.run follower) in
       let n = 60 in
       let frame i k =

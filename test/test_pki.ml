@@ -245,17 +245,6 @@ let intern_sub_window () =
   Alcotest.check_raises "bad window" (Invalid_argument "Intern.cert_of_sub")
     (fun () -> ignore (Intern.cert_of_sub framed ~off:3 ~len:(String.length framed)))
 
-let intern_disabled_parses_fresh () =
-  Intern.clear ();
-  let der = Cert.to_der (List.hd (intern_chain ())) in
-  Intern.set_enabled false;
-  Fun.protect ~finally:(fun () -> Intern.set_enabled true) (fun () ->
-      let a = Result.get_ok (Intern.cert_of_der der) in
-      let b = Result.get_ok (Intern.cert_of_der der) in
-      Alcotest.(check bool) "not shared when disabled" true (not (a == b));
-      Alcotest.(check bool) "still equal" true (Cert.equal a b);
-      Alcotest.(check int) "no entries" 0 (Intern.stats ()).Intern.entries)
-
 let intern_byte_identity () =
   (* The interned value is byte-for-byte the value a fresh parse produces. *)
   Intern.clear ();
@@ -359,7 +348,6 @@ let suite =
   [ Alcotest.test_case "root store lookups" `Quick root_store_lookups;
     Alcotest.test_case "intern shares physically" `Quick intern_shares_physically;
     Alcotest.test_case "intern window lookup" `Quick intern_sub_window;
-    Alcotest.test_case "intern disabled" `Quick intern_disabled_parses_fresh;
     Alcotest.test_case "intern byte-identity" `Quick intern_byte_identity;
     Alcotest.test_case "intern errors not cached" `Quick intern_errors_not_cached;
     Alcotest.test_case "intern Domain hammer" `Quick intern_domain_hammer;

@@ -322,33 +322,6 @@ let engine_certmsg_errors () =
        ~format:"1.2" ());
   Engine.shutdown t
 
-let engine_certmsg_default_format () =
-  (* An engine pinned to 1.2 parses undeclared certmsg checks under that
-     framing only; an explicit "format" still overrides. *)
-  let t = Engine.create ~env:(make_env ()) ~default_format:Certmsg.Tls12 () in
-  let r = fixture_record () in
-  let domain = r.Population.domain in
-  let ok =
-    Engine.handle_frame t
-      (check_frame ~domain ~certmsg:(fixture_certmsg Certmsg.Tls12) ())
-  in
-  (match response_field ok "ok" with
-  | Some (Json.Bool true) -> ()
-  | _ -> Alcotest.fail ("1.2 certmsg under 1.2 default failed: " ^ ok));
-  expect_error
-    (Engine.handle_frame t
-       (check_frame ~domain ~certmsg:(fixture_certmsg Certmsg.Tls13) ()))
-    "malformed_certmsg";
-  let explicit =
-    Engine.handle_frame t
-      (check_frame ~domain ~certmsg:(fixture_certmsg Certmsg.Tls13)
-         ~format:"1.3" ())
-  in
-  Alcotest.(check string) "explicit format overrides the default" ok explicit;
-  Engine.shutdown t
-
-(* --- engine: verdict content sanity --- *)
-
 let engine_verdict_fields () =
   let t = Engine.create ~env:(make_env ()) () in
   let response = Engine.handle_frame t (check_frame ~scenario:"fixture" ()) in
@@ -928,7 +901,6 @@ let suite =
     Alcotest.test_case "cache hit byte-identical" `Slow engine_hit_identical;
     Alcotest.test_case "certmsg both framings" `Slow engine_certmsg_both_framings;
     Alcotest.test_case "certmsg error replies" `Slow engine_certmsg_errors;
-    Alcotest.test_case "certmsg default format" `Slow engine_certmsg_default_format;
     Alcotest.test_case "verdict fields" `Slow engine_verdict_fields;
     Alcotest.test_case "micro-batch coalescing" `Slow engine_batch_coalesces;
     Alcotest.test_case "jobs-invariant responses" `Slow engine_jobs_invariant;

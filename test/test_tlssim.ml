@@ -15,23 +15,33 @@ let sample_chain n =
 
 let certmsg_tls12_roundtrip () =
   let chain = sample_chain 3 in
-  match Certmsg.decode_tls12 (Certmsg.encode_tls12 chain) with
-  | Ok chain' ->
+  match
+    Certmsg.decode Certmsg.Tls12
+      (Certmsg.encode (Certmsg.of_certs Certmsg.Tls12 chain))
+  with
+  | Ok msg ->
+      let chain' = Certmsg.certs msg in
       Alcotest.(check int) "count" 3 (List.length chain');
       List.iter2 (fun a b -> Alcotest.(check bool) "identical" true (Cert.equal a b)) chain chain'
   | Error e -> Alcotest.fail e
 
 let certmsg_tls13_roundtrip () =
   let chain = sample_chain 2 in
-  match Certmsg.decode_tls13 (Certmsg.encode_tls13 ~context:"ctx!" chain) with
-  | Ok (ctx, chain') ->
-      Alcotest.(check string) "context" "ctx!" ctx;
-      Alcotest.(check int) "count" 2 (List.length chain')
+  match
+    Certmsg.decode Certmsg.Tls13
+      (Certmsg.encode (Certmsg.of_certs ~context:"ctx!" Certmsg.Tls13 chain))
+  with
+  | Ok msg ->
+      Alcotest.(check string) "context" "ctx!" msg.Certmsg.context;
+      Alcotest.(check int) "count" 2 (List.length (Certmsg.certs msg))
   | Error e -> Alcotest.fail e
 
 let certmsg_empty_list () =
-  (match Certmsg.decode_tls12 (Certmsg.encode_tls12 []) with
-  | Ok [] -> ()
+  (match
+     Certmsg.decode Certmsg.Tls12
+       (Certmsg.encode (Certmsg.of_certs Certmsg.Tls12 []))
+   with
+  | Ok msg when Certmsg.certs msg = [] -> ()
   | _ -> Alcotest.fail "empty list must round-trip (1.2)");
   (* Typed API, both framings: a zero-entry message is legal wire. *)
   List.iter
@@ -176,14 +186,15 @@ let certmsg_fuzz_seeds () =
     seeds
 
 let certmsg_errors () =
-  let good = Certmsg.encode_tls12 (sample_chain 2) in
+  let good = Certmsg.encode (Certmsg.of_certs Certmsg.Tls12 (sample_chain 2)) in
+  let decode12 = Certmsg.decode Certmsg.Tls12 in
   let truncated = String.sub good 0 (String.length good - 5) in
   Alcotest.(check bool) "truncated rejected" true
-    (Result.is_error (Certmsg.decode_tls12 truncated));
+    (Result.is_error (decode12 truncated));
   Alcotest.(check bool) "garbage appended rejected" true
-    (Result.is_error (Certmsg.decode_tls12 (good ^ "xx")));
+    (Result.is_error (decode12 (good ^ "xx")));
   Alcotest.(check bool) "empty input rejected" true
-    (Result.is_error (Certmsg.decode_tls12 ""))
+    (Result.is_error (decode12 ""))
 
 let env () =
   let u = Lazy.force lab in
@@ -277,8 +288,11 @@ let qcheck_certmsg =
     QCheck.(int_range 1 8)
     (fun n ->
       let chain = sample_chain n in
-      match Certmsg.decode_tls12 (Certmsg.encode_tls12 chain) with
-      | Ok chain' -> List.length chain' = List.length chain
+      match
+        Certmsg.decode Certmsg.Tls12
+          (Certmsg.encode (Certmsg.of_certs Certmsg.Tls12 chain))
+      with
+      | Ok msg -> List.length (Certmsg.certs msg) = List.length chain
       | Error _ -> false)
 
 (* The mitls codec lemmas, pinned as executable properties. *)
