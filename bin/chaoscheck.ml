@@ -48,12 +48,16 @@ let scale_arg =
   in
   Arg.(value & opt float default_lab_scale & info [ "scale" ] ~doc)
 
-(* Every command validates the scale before generating; [with_lab] is the
-   single entry point so the validation message is uniform. *)
-let with_lab scale f =
+(* Every command validates the scale before generating: [check_scale]
+   holds the one validation message, and [with_lab] validates, then
+   generates the population. *)
+let check_scale scale f =
   if not (scale > 0.0 && scale <= 1.0) then
     `Error (true, Printf.sprintf "--scale must be in (0, 1] (got %g)" scale)
-  else f (Population.generate ~scale ())
+  else f ()
+
+let with_lab scale f =
+  check_scale scale (fun () -> f (Population.generate ~scale ()))
 
 (* --- scenario --- *)
 
@@ -1425,23 +1429,32 @@ let reproduce_cmd =
                    every value.")
   in
   let run scale only jobs fmt check_paper inject =
+    let emit selected =
+      let selected =
+        if inject then Report.inject_deviation selected else selected
+      in
+      print_results fmt selected;
+      if check_paper then run_paper_check selected else `Ok ()
+    in
+    let measured f =
+      with_lab scale (fun pop -> emit (f (Experiments.analyze ~jobs pop)))
+    in
     if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else
-      with_lab scale (fun pop ->
-          let results = Experiments.run_all (Experiments.analyze ~jobs pop) in
-          let selected =
-            match only with
-            | None -> results
-            | Some id -> List.filter (fun r -> r.Experiments.id = id) results
-          in
-          if selected = [] then `Error (false, "unknown experiment id")
-          else begin
-            let selected =
-              if inject then Report.inject_deviation selected else selected
-            in
-            print_results fmt selected;
-            if check_paper then run_paper_check selected else `Ok ()
-          end)
+      match only with
+      | None -> measured Experiments.run_all
+      | Some id -> (
+          (* validated before anything is generated; only the named
+             experiment runs *)
+          match List.assoc_opt id Experiments.experiments with
+          | None ->
+              `Error
+                ( true,
+                  Printf.sprintf "--only: unknown experiment id %S (valid: %s)"
+                    id (String.concat ", " (List.map fst Experiments.experiments)) )
+          | Some (Experiments.Static f) ->
+              check_scale scale (fun () -> emit [ f () ])
+          | Some (Experiments.Measured f) -> measured (fun a -> [ f a ]))
   in
   Cmd.v
     (Cmd.info "reproduce" ~doc:"Regenerate the paper's tables and figures")

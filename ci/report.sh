@@ -3,7 +3,9 @@
 # across scan vs replay, and jq can parse it; --check-paper is green on
 # the seed population and red (naming the deviating cell) under
 # --inject-deviation; `chaoscheck diff` agrees a corpus with itself;
-# `reproduce --scale 0` is a usage error, not an uncaught exception.
+# `reproduce --scale 0` is a usage error, not an uncaught exception;
+# `reproduce --only` rejects an unknown id before generating anything and
+# runs a static table without a population.
 #
 # Usage: ci/report.sh CHAOSCHECK
 set -eu
@@ -36,3 +38,13 @@ rc=$?
 set -e
 test "$rc" -eq 124
 grep -q -- '--scale' "$s/scale.err"
+# an unknown --only id is a usage error (exit 124) naming the flag
+set +e
+"$cc" reproduce --only bogus > /dev/null 2> "$s/only.err"
+rc=$?
+set -e
+test "$rc" -eq 124
+grep -q -- '--only' "$s/only.err"
+# a static table generates no population, even at a large scale
+timeout 10 "$cc" reproduce --scale 0.5 --only table1 > "$s/table1.txt"
+grep -q 'Table 1' "$s/table1.txt"

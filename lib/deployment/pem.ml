@@ -31,9 +31,9 @@ let ( let* ) = Result.bind
 (* The characters [String.trim] strips. *)
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-let rec line_end text i =
-  if i = String.length text || String.unsafe_get text i = '\n' then i
-  else line_end text (i + 1)
+let line_end text i =
+  let n = String.length text in
+  match Chaoschain_crypto.Bytescan.newline text i n with -1 -> n | j -> j
 
 let rec skip_space text i stop =
   if i < stop && is_space (String.unsafe_get text i) then
@@ -56,12 +56,14 @@ let window_is text a b word =
 
 let decode_certs text =
   (* Lines are found and trimmed by index over [text] (no line list, no
-     per-line copy); body lines accumulate into one reused [Buffer], and
-     each decoded DER blob goes through the intern table so a certificate
-     repeated across chains is parsed once. *)
+     per-line copy). A block's body characters are gathered into the
+     Domain's scratch buffer, base64-decoded there in place, and the DER
+     window is probed in the intern table: a certificate seen before costs
+     no further copy, a new one is copied out once and parsed. No block's
+     body is longer than [text], so the scratch never grows mid-scan. *)
   let n = String.length text in
-  let body = Buffer.create 4096 in
-  let rec scan acc in_block pos =
+  let body = Intern.scratch n in
+  let rec scan acc in_block len pos =
     if pos > n then
       if in_block then Error "PEM: unterminated CERTIFICATE block"
       else Ok (List.rev acc)
@@ -69,20 +71,15 @@ let decode_certs text =
       let eol = line_end text pos in
       let a = skip_space text pos eol in
       let b = trim_end text a eol in
-      if not in_block then
-        if window_is text a b header then begin
-          Buffer.clear body;
-          scan acc true (eol + 1)
-        end
-        else scan acc false (eol + 1)
+      if not in_block then scan acc (window_is text a b header) 0 (eol + 1)
       else if window_is text a b footer then begin
-        let* der = Base64.decode (Buffer.contents body) in
-        let* cert = Intern.cert_of_der der in
-        scan (cert :: acc) false (eol + 1)
+        let* der_len = Base64.decode_into body ~off:0 ~len body 0 in
+        let* cert = Intern.cert_of_scratch body ~off:0 ~len:der_len in
+        scan (cert :: acc) false 0 (eol + 1)
       end
       else begin
-        Buffer.add_substring body text a (b - a);
-        scan acc true (eol + 1)
+        Bytes.blit_string text a body len (b - a);
+        scan acc true (len + b - a) (eol + 1)
       end
   in
-  scan [] false 0
+  scan [] false 0 0

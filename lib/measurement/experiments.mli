@@ -95,5 +95,14 @@ val scan_results : view -> result list
     3, 5 and 7, and section 5.2. [chaoscheck scan] and [chaoscheck replay]
     both print exactly this list. *)
 
+type experiment =
+  | Static of (unit -> result)  (** needs no population *)
+  | Measured of (analysis -> result)
+
+val experiments : (string * experiment) list
+(** Every experiment by its result's [id], in paper order. [chaoscheck
+    reproduce --only ID] runs just the one named (a [Static] one without
+    generating a population). *)
+
 val run_all : analysis -> result list
-(** Every experiment, in paper order. *)
+(** Every experiment of {!experiments}, in order. *)

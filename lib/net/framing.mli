@@ -14,9 +14,11 @@
     - a trailing unterminated line is delivered as a final frame at EOF;
     - after the EOF drain the machine answers [`Eof] forever.
 
-    {!next} never touches a file descriptor: the event loop owns all I/O
-    and feeds raw chunks in. Scanning is incremental — each input byte is
-    examined once, independent of how the stream is cut into chunks. *)
+    Neither {!feed} nor {!next} touches a file descriptor: the event loop
+    owns all I/O and feeds raw chunks in. {!feed} scans each chunk as it
+    arrives — each input byte is examined once, independent of how the
+    stream is cut into chunks — and copies each complete frame out once;
+    {!next} hands the scanned frames over in order. *)
 
 type t
 
@@ -28,9 +30,10 @@ val create : ?max_frame:int -> unit -> t
     (raises [Invalid_argument]). *)
 
 val feed : t -> bytes -> int -> int -> unit
-(** [feed t buf pos len] appends [len] bytes of [buf] starting at [pos]
-    (the bytes are copied; the caller may reuse [buf]). Feeding after
-    {!eof} raises [Invalid_argument]. *)
+(** [feed t buf pos len] scans [len] bytes of [buf] starting at [pos]:
+    complete lines are copied out for {!next}, an unterminated tail is
+    kept. Nothing retained aliases [buf], so the caller may reuse it.
+    Feeding after {!eof} raises [Invalid_argument]. *)
 
 val feed_string : t -> string -> unit
 
@@ -44,8 +47,9 @@ val next : t -> [ `Frame of string | `Overlong | `Await | `Eof ]
     consumed (or scheduled for discard). *)
 
 val buffered : t -> int
-(** Bytes currently held: the partial line plus unscanned chunks. Bounded
-    by [max_frame] plus the largest fed chunk, even against an endless
+(** Bytes currently held: the partial line plus the frames not yet taken
+    by {!next}. With {!next} drained after each {!feed}, bounded by
+    [max_frame] plus the largest fed chunk, even against an endless
     newline-free stream. *)
 
 val at_eof : t -> bool

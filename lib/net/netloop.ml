@@ -29,9 +29,10 @@ type conn = {
   c_wfd : Unix.file_descr;      (* write side: c_fd again for a socket *)
   c_framing : Framing.t;
   c_inbox : item Queue.t;       (* framed lines awaiting submission *)
-  c_out : string Queue.t;       (* reply bytes awaiting the socket *)
-  mutable c_out_off : int;      (* flushed prefix of the head of c_out *)
-  mutable c_out_bytes : int;
+  mutable c_out : Bytes.t;      (* reply bytes; [c_out_off, c_out_end)
+                                   await the socket *)
+  mutable c_out_off : int;
+  mutable c_out_end : int;
   mutable c_inflight : int;     (* frames submitted, reply not yet routed *)
   mutable c_read_eof : bool;
   mutable c_dead : bool;        (* socket error: close asap, drop replies *)
@@ -118,8 +119,8 @@ let register_conn ?wfd t fd =
   let c =
     { c_id = id; c_fd = fd; c_wfd = wfd;
       c_framing = Framing.create ~max_frame:t.config.max_frame ();
-      c_inbox = Queue.create (); c_out = Queue.create ();
-      c_out_off = 0; c_out_bytes = 0; c_inflight = 0;
+      c_inbox = Queue.create (); c_out = Bytes.empty;
+      c_out_off = 0; c_out_end = 0; c_inflight = 0;
       c_read_eof = false; c_dead = false; c_want_r = true; c_want_w = false }
   in
   Hashtbl.add t.conns id c;
@@ -202,10 +203,29 @@ let offer t fd =
     accepted
   end
 
+(* Reply bytes queued on a connection and not yet written. *)
+let out_bytes c = c.c_out_end - c.c_out_off
+
+(* Append a reply and its newline to the connection's out-buffer, first
+   moving the unwritten bytes to the front and growing the buffer (at
+   least doubling) when the reply does not fit behind them. *)
 let push_out c s =
-  Queue.add s c.c_out;
-  Queue.add "\n" c.c_out;
-  c.c_out_bytes <- c.c_out_bytes + String.length s + 1
+  let n = String.length s in
+  if c.c_out_end + n + 1 > Bytes.length c.c_out then begin
+    let pending = out_bytes c in
+    let cap = Bytes.length c.c_out in
+    let buf =
+      if pending + n + 1 <= cap then c.c_out
+      else Bytes.create (max (pending + n + 1) (max 4096 (2 * cap)))
+    in
+    Bytes.blit c.c_out c.c_out_off buf 0 pending;
+    c.c_out <- buf;
+    c.c_out_off <- 0;
+    c.c_out_end <- pending
+  end;
+  Bytes.blit_string s 0 c.c_out c.c_out_end n;
+  Bytes.unsafe_set c.c_out (c.c_out_end + n) '\n';
+  c.c_out_end <- c.c_out_end + n + 1
 
 (* Sorted live connections, rotated by the fairness cursor so every
    connection periodically goes first for both reading and submission. *)
@@ -349,22 +369,28 @@ let route_replies t responses =
 
 (* --- writing --- *)
 
+(* A drained out-buffer above this size is dropped, so one burst does not
+   pin its memory to an idle connection. *)
+let out_keep = 65536
+
+(* Write the queued bytes with one [write] per flush (per 64 KiB, the most
+   one [Unix.single_write] passes), resuming at the written offset after a
+   partial write. *)
 let flush_out c =
   let continue = ref true in
-  while !continue && not (Queue.is_empty c.c_out) do
-    let head = Queue.peek c.c_out in
-    let len = String.length head - c.c_out_off in
-    match Unix.write_substring c.c_wfd head c.c_out_off len with
+  while !continue && out_bytes c > 0 do
+    let len = out_bytes c in
+    match Unix.single_write c.c_wfd c.c_out c.c_out_off len with
     | n ->
-        c.c_out_bytes <- c.c_out_bytes - n;
-        if n = len then begin
-          ignore (Queue.pop c.c_out);
-          c.c_out_off <- 0
+        c.c_out_off <- c.c_out_off + n;
+        if c.c_out_off = c.c_out_end then begin
+          c.c_out_off <- 0;
+          c.c_out_end <- 0;
+          if Bytes.length c.c_out > out_keep then c.c_out <- Bytes.empty
         end
-        else begin
-          c.c_out_off <- c.c_out_off + n;
+        else if n < min len 65536 then
+          (* the socket took less than offered: it is full *)
           continue := false
-        end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
         continue := false
     | exception Unix.Unix_error (EINTR, _, _) -> ()
@@ -388,11 +414,11 @@ let reap t =
       (fun _ c acc ->
         let finished_naturally =
           c.c_read_eof && Queue.is_empty c.c_inbox && c.c_inflight = 0
-          && c.c_out_bytes = 0
+          && out_bytes c = 0
         in
         let drained =
           draining t && Queue.is_empty c.c_inbox && c.c_inflight = 0
-          && c.c_out_bytes = 0
+          && out_bytes c = 0
         in
         if c.c_dead || finished_naturally || drained then c :: acc else acc)
       t.conns []
@@ -409,7 +435,7 @@ let reap t =
 
 let readable_conn t c =
   (not c.c_dead) && (not c.c_read_eof) && (not (draining t))
-  && c.c_out_bytes <= t.config.write_bound
+  && out_bytes c <= t.config.write_bound
   && t.inboxed < t.config.inbox_bound
 
 (* Reconcile the poller's interest set with the loop state: the listener
@@ -434,7 +460,7 @@ let update_interest t ~now =
   Hashtbl.iter
     (fun _ c ->
       let want_r = readable_conn t c in
-      let want_w = (not c.c_dead) && c.c_out_bytes > 0 in
+      let want_w = (not c.c_dead) && out_bytes c > 0 in
       if want_r <> c.c_want_r || want_w <> c.c_want_w then
         set_interest t c ~read:want_r ~write:want_w)
     t.conns
@@ -520,7 +546,7 @@ let step ?(timeout = 0.0) t =
       (* flush every connection with queued bytes, not only the ones the
          poller saw: replies generated this iteration postdate the wait *)
       Hashtbl.iter
-        (fun _ c -> if (not c.c_dead) && c.c_out_bytes > 0 then flush_out c)
+        (fun _ c -> if (not c.c_dead) && out_bytes c > 0 then flush_out c)
         t.conns;
       reap t;
       true

@@ -14,8 +14,11 @@
       overlong line is submitted as a marker in its place, so its error
       reply keeps the connection's request order;
     - replies come back tagged with the originating connection and are
-      queued on per-connection write buffers, flushed opportunistically
-      with non-blocking writes;
+      copied, each with its newline, into that connection's one growable
+      out-buffer; a flush writes everything queued with one non-blocking
+      [write] (per 64 KiB) and resumes at the written offset after a
+      partial write, so a batch of replies costs one syscall, not two per
+      reply. A drained buffer above 64 KiB is released;
     - backpressure is layered: a connection whose write buffer exceeds
       [write_bound] is not read until it drains, reading stops globally
       while more than [inbox_bound] parsed frames await submission, and

@@ -51,17 +51,25 @@ let hash_window s off len =
   let h = h * 0x7FB5D329728EA185 in
   h lxor (h lsr 29)
 
-(* The two windows hold the same bytes (lengths already equal). *)
-let rec same_bytes a ao b bo i len =
-  i = len
-  || String.unsafe_get a (ao + i) = String.unsafe_get b (bo + i)
-     && same_bytes a ao b bo (i + 1) len
+(* The two windows hold the same bytes (lengths already equal): 8 bytes
+   per compare, then the tail byte by byte. *)
+let same_bytes a ao b bo len =
+  let rec words i =
+    if i + 8 <= len then
+      Int64.equal (get64u a (ao + i)) (get64u b (bo + i)) && words (i + 8)
+    else tail i
+  and tail i =
+    i = len
+    || String.unsafe_get a (ao + i) = String.unsafe_get b (bo + i)
+       && tail (i + 1)
+  in
+  words 0
 
 module Tbl = Hashtbl.Make (struct
   type t = key
 
   let equal a b =
-    a.hash = b.hash && a.len = b.len && same_bytes a.s a.off b.s b.off 0 a.len
+    a.hash = b.hash && a.len = b.len && same_bytes a.s a.off b.s b.off a.len
 
   let hash k = k.hash
 end)
@@ -111,14 +119,21 @@ let insert shard key c =
           Tbl.add shard.table { key with s = Cert.to_der c; off = 0 } c;
           c)
 
-let intern s ~off ~len =
+(* [~owned]: [s] is an immutable string the caller hands over, so a miss
+   on the whole of it keeps [s] itself as the certificate's DER; otherwise
+   (a sub-window, or a scratch buffer that will be overwritten) a miss
+   copies the window. *)
+let intern ~owned s ~off ~len =
   let key = { s; off; len; hash = hash_window s off len } in
   let shard = shard_of key in
   match lookup shard key with
   | Some c -> Ok c
   | None -> (
       (* a miss: only now copy the window and compute the fingerprint *)
-      let raw = if len = String.length s then s else String.sub s off len in
+      let raw =
+        if owned && off = 0 && len = String.length s then s
+        else String.sub s off len
+      in
       match Cert.of_der_keyed ~fp:(Sha256.digest raw) raw with
       | Error _ as e -> e
       | Ok c -> Ok (insert shard key c))
@@ -126,9 +141,29 @@ let intern s ~off ~len =
 let cert_of_sub s ~off ~len =
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Intern.cert_of_sub";
-  intern s ~off ~len
+  intern ~owned:true s ~off ~len
 
-let cert_of_der raw = intern raw ~off:0 ~len:(String.length raw)
+let cert_of_der raw = intern ~owned:true raw ~off:0 ~len:(String.length raw)
+
+let cert_of_scratch b ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg "Intern.cert_of_scratch";
+  (* The string view lives only for this call: a hit keeps nothing of it
+     and a miss copies the window before parsing. *)
+  intern ~owned:false (Bytes.unsafe_to_string b) ~off ~len
+
+(* One growable buffer per Domain, so concurrent decoders never share
+   one. *)
+let scratch_key = Domain.DLS.new_key (fun () -> Bytes.create 4096)
+
+let scratch n =
+  let b = Domain.DLS.get scratch_key in
+  if Bytes.length b >= n then b
+  else begin
+    let b = Bytes.create (max n (2 * Bytes.length b)) in
+    Domain.DLS.set scratch_key b;
+    b
+  end
 
 let stats () =
   Array.fold_left

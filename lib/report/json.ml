@@ -200,14 +200,25 @@ let hex4 st =
   !v
 
 (* End of the run of plain bytes from [i]: stops at a quote, a backslash,
-   a control byte or the end of input. *)
-let rec plain_end text i =
-  if i = String.length text then i
-  else
-    match String.unsafe_get text i with
-    | '"' | '\\' -> i
-    | c when Char.code c < 0x20 -> i
-    | _ -> plain_end text (i + 1)
+   a control byte or the end of input. One table load per byte: [stops]
+   holds ['\001'] at exactly those bytes. *)
+let stops =
+  String.init 256 (fun i ->
+      if i < 0x20 || i = Char.code '"' || i = Char.code '\\' then '\001'
+      else '\000')
+
+let plain_end text i =
+  let n = String.length text in
+  let i = ref i in
+  while
+    !i < n
+    && String.unsafe_get stops (Char.code (String.unsafe_get text !i)) = '\000'
+  do
+    incr i
+  done;
+  !i
+
+let escaped = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 
 let parse_string st =
   expect st '"';
@@ -219,7 +230,10 @@ let parse_string st =
     String.sub st.text start (stop - start)
   end
   else
-  let buf = Buffer.create (stop - start + 16) in
+  (* escapes: the contents are assembled in the Domain's reused buffer and
+     copied out once *)
+  let buf = Domain.DLS.get escaped in
+  Buffer.clear buf;
   Buffer.add_substring buf st.text start (stop - start);
   st.pos <- stop;
   let rec go () =
@@ -268,7 +282,9 @@ let parse_string st =
         go ()
   in
   go ();
-  Buffer.contents buf
+  let s = Buffer.contents buf in
+  if Buffer.length buf > 65536 then Buffer.reset buf;
+  s
 
 let parse_number st =
   let start = st.pos in

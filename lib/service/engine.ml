@@ -221,17 +221,16 @@ let compute_verdict t (c : Protocol.check) ~domain certs =
    parameters the verdict depends on — the scanned domain (the leaf-placement
    classification reads it beyond the match bit) and the option set. *)
 let verdict_key (c : Protocol.check) ~domain certs =
-  let opts =
-    Printf.sprintf "%s|%c|%s"
-      (Protocol.store_choice_to_string c.Protocol.store)
-      (if c.Protocol.aia then '1' else '0')
+  String.concat "|"
+    [ Hex.encode (Difftest.chain_key ~domain certs);
+      domain;
+      Protocol.store_choice_to_string c.Protocol.store;
+      (if c.Protocol.aia then "1" else "0");
       (match c.Protocol.clients with
       | None -> "all"
       | Some ids ->
           String.concat ","
-            (List.sort_uniq compare (List.map Protocol.client_id_to_string ids)))
-  in
-  Hex.encode (Difftest.chain_key ~domain certs) ^ "|" ^ domain ^ "|" ^ opts
+            (List.sort_uniq compare (List.map Protocol.client_id_to_string ids))) ]
 
 (* --- cache warming --- *)
 
@@ -295,15 +294,14 @@ let with_domain (c : Protocol.check) certs =
    certificate list (and thus the verdict key) exists, which is what makes
    verdicts byte-identical across the two encodings of one chain. *)
 let resolve_certmsg (c : Protocol.check) b64 =
-  match Base64.decode b64 with
+  (* The wire bytes are decoded into the Domain's scratch and the message
+     is read from there: on an intern hit no byte of it is copied again. *)
+  let n = String.length b64 in
+  let wire = Intern.scratch n in
+  match Base64.decode_into (Bytes.unsafe_of_string b64) ~off:0 ~len:n wire 0 with
   | Error e -> Error ("malformed_certmsg", "invalid base64: " ^ e)
-  | Ok wire -> (
-      let decoded =
-        match c.Protocol.format with
-        | Some f -> Certmsg.decode f wire
-        | None -> Certmsg.decode_auto wire
-      in
-      match decoded with
+  | Ok len -> (
+      match Certmsg.decode_scratch c.Protocol.format wire ~off:0 ~len with
       | Error e -> Error ("malformed_certmsg", e)
       | Ok msg -> (
           match Certmsg.certs msg with

@@ -200,19 +200,26 @@ let error_response ~id ~code message =
 
 let verdict_response ~id ~verdict =
   (* The verdict is embedded as already-encoded bytes so that a cache hit is
-     byte-identical to the miss that populated it. *)
-  let buf = Buffer.create (String.length verdict + 64) in
-  Buffer.add_char buf '{';
-  (match id with
-  | Some id ->
-      Buffer.add_string buf "\"id\":";
-      Buffer.add_string buf (Json.to_string (Json.String id));
-      Buffer.add_char buf ','
-  | None -> ());
-  Buffer.add_string buf "\"ok\":true,\"verdict\":";
-  Buffer.add_string buf verdict;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+     byte-identical to the miss that populated it. One exactly-sized
+     buffer: [{], the optional ["id":<id>,], the fixed prefix, the verdict,
+     [}]. *)
+  let id_json =
+    match id with Some id -> Json.to_string (Json.String id) | None -> ""
+  in
+  let prefix = "\"ok\":true,\"verdict\":" in
+  let idl = if id = None then 0 else String.length id_json + 6 in
+  let pl = String.length prefix and vl = String.length verdict in
+  let out = Bytes.create (1 + idl + pl + vl + 1) in
+  Bytes.unsafe_set out 0 '{';
+  if id <> None then begin
+    Bytes.blit_string "\"id\":" 0 out 1 5;
+    Bytes.blit_string id_json 0 out 6 (String.length id_json);
+    Bytes.unsafe_set out idl ','
+  end;
+  Bytes.blit_string prefix 0 out (1 + idl) pl;
+  Bytes.blit_string verdict 0 out (1 + idl + pl) vl;
+  Bytes.unsafe_set out (1 + idl + pl + vl) '}';
+  Bytes.unsafe_to_string out
 
 let stats_response ~id stats =
   Json.to_string

@@ -49,14 +49,15 @@ let add_u16 buf n =
   Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
   Buffer.add_char buf (Char.chr (n land 0xFF))
 
-let read_u24 s off =
-  if off + 3 > String.length s then Error "truncated u24"
+(* Readers bounded by [stop], the end of the message's window. *)
+let read_u24 s ~stop off =
+  if off + 3 > stop then Error "truncated u24"
   else
     Ok ((Char.code s.[off] lsl 16) lor (Char.code s.[off + 1] lsl 8)
         lor Char.code s.[off + 2])
 
-let read_u16 s off =
-  if off + 2 > String.length s then Error "truncated u16"
+let read_u16 s ~stop off =
+  if off + 2 > stop then Error "truncated u16"
   else Ok ((Char.code s.[off] lsl 8) lor Char.code s.[off + 1])
 
 let ( let* ) = Result.bind
@@ -133,6 +134,11 @@ let encode t =
 
 (* --- decoding --- *)
 
+(* The decoders read the message in [s.[base, stop)]; [cert off len]
+   interns the entry at [s.[off, off+len)] in place, so on an intern hit the
+   entry's DER is never copied out of the message. Everything else kept
+   (context, extension data) is copied, so nothing returned aliases [s]. *)
+
 (* Parse one entry's extension block: items must tile the block exactly;
    an item length that overruns the block is an error, never a silent
    truncation. *)
@@ -142,8 +148,8 @@ let read_extensions s ~off ~len =
     if off = stop then Ok (List.rev acc)
     else if off + 4 > stop then Error "truncated extension item header"
     else
-      let* typ = read_u16 s off in
-      let* elen = read_u16 s (off + 2) in
+      let* typ = read_u16 s ~stop off in
+      let* elen = read_u16 s ~stop (off + 2) in
       if off + 4 + elen > stop then
         Error "extension length overruns its block"
       else
@@ -151,69 +157,89 @@ let read_extensions s ~off ~len =
   in
   items [] off
 
-let decode_tls12_ir s =
-  let* total = read_u24 s 0 in
-  if total + 3 <> String.length s then Error "certificate_list length mismatch"
+let decode_tls12_ir ~cert s ~base ~stop =
+  let* total = read_u24 s ~stop base in
+  if base + total + 3 <> stop then Error "certificate_list length mismatch"
   else begin
     let rec entries acc off =
-      if off = String.length s then
+      if off = stop then
         Ok { context = ""; entries = List.rev acc; format = Tls12 }
       else
-        let* len = read_u24 s off in
-        if off + 3 + len > String.length s then Error "truncated certificate entry"
+        let* len = read_u24 s ~stop off in
+        if off + 3 + len > stop then Error "truncated certificate entry"
         else
-          (* Interned by window: on a cache hit the entry's DER is never
-             copied out of the message. *)
-          let* cert = Intern.cert_of_sub s ~off:(off + 3) ~len in
+          let* cert = cert (off + 3) len in
           entries ({ cert; extensions = [] } :: acc) (off + 3 + len)
     in
-    entries [] 3
+    entries [] (base + 3)
   end
 
-let decode_tls13_ir s =
-  if String.length s < 1 then Error "truncated context length"
+let decode_tls13_ir ~cert s ~base ~stop =
+  if stop - base < 1 then Error "truncated context length"
   else begin
-    let ctx_len = Char.code s.[0] in
-    if 1 + ctx_len > String.length s then Error "truncated context"
+    let ctx_len = Char.code s.[base] in
+    if base + 1 + ctx_len > stop then Error "truncated context"
     else begin
-      let context = String.sub s 1 ctx_len in
-      let* total = read_u24 s (1 + ctx_len) in
-      let base = 1 + ctx_len + 3 in
-      if base + total <> String.length s then
-        Error "certificate_list length mismatch"
+      let context = String.sub s (base + 1) ctx_len in
+      let* total = read_u24 s ~stop (base + 1 + ctx_len) in
+      let first = base + 1 + ctx_len + 3 in
+      if first + total <> stop then Error "certificate_list length mismatch"
       else begin
         let rec entries acc off =
-          if off = String.length s then
+          if off = stop then
             Ok { context; entries = List.rev acc; format = Tls13 }
           else
-            let* len = read_u24 s off in
-            if off + 3 + len + 2 > String.length s then Error "truncated entry"
+            let* len = read_u24 s ~stop off in
+            if off + 3 + len + 2 > stop then Error "truncated entry"
             else
-              let* cert = Intern.cert_of_sub s ~off:(off + 3) ~len in
-              let* ext_len = read_u16 s (off + 3 + len) in
+              let* cert = cert (off + 3) len in
+              let* ext_len = read_u16 s ~stop (off + 3 + len) in
               let ext_off = off + 3 + len + 2 in
-              if ext_off + ext_len > String.length s then
+              if ext_off + ext_len > stop then
                 Error "extension block overruns the message"
               else
                 let* extensions = read_extensions s ~off:ext_off ~len:ext_len in
                 entries ({ cert; extensions } :: acc) (ext_off + ext_len)
         in
-        entries [] base
+        entries [] first
       end
     end
   end
 
-let decode format s =
-  match format with Tls12 -> decode_tls12_ir s | Tls13 -> decode_tls13_ir s
+let decode_in format ~cert s ~base ~stop =
+  match format with
+  | Tls12 -> decode_tls12_ir ~cert s ~base ~stop
+  | Tls13 -> decode_tls13_ir ~cert s ~base ~stop
 
-let decode_auto s =
-  match decode_tls12_ir s with
+let auto_in ~cert s ~base ~stop =
+  match decode_tls12_ir ~cert s ~base ~stop with
   | Ok t -> Ok t
   | Error e12 -> (
-      match decode_tls13_ir s with
+      match decode_tls13_ir ~cert s ~base ~stop with
       | Ok t -> Ok t
       | Error e13 ->
           Error
             (Printf.sprintf
                "not a TLS 1.2 certificate message (%s) nor TLS 1.3 (%s)" e12
                e13))
+
+let decode format s =
+  decode_in format
+    ~cert:(fun off len -> Intern.cert_of_sub s ~off ~len)
+    s ~base:0 ~stop:(String.length s)
+
+let decode_auto s =
+  auto_in
+    ~cert:(fun off len -> Intern.cert_of_sub s ~off ~len)
+    s ~base:0 ~stop:(String.length s)
+
+let decode_scratch format b ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg "Certmsg.decode_scratch";
+  (* A read-only view for this call: certificates are interned with
+     [cert_of_scratch] (copied on a miss), the rest is copied. *)
+  let s = Bytes.unsafe_to_string b in
+  let cert off len = Intern.cert_of_scratch b ~off ~len in
+  match format with
+  | Some f -> decode_in f ~cert s ~base:off ~stop:(off + len)
+  | None -> auto_in ~cert s ~base:off ~stop:(off + len)

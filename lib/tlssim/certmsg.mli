@@ -74,3 +74,13 @@ val decode_auto : string -> (t, string) result
 (** Try [Tls12] first, then [Tls13]; the error names both failures. For
     realistically sized chains the two framings are non-confusable, so the
     order only matters for pathological inputs. *)
+
+val decode_scratch :
+  format option -> bytes -> off:int -> len:int -> (t, string) result
+(** [decode_scratch fmt b ~off ~len] is [decode f] (for [Some f]) or
+    {!decode_auto} (for [None]) of the message in [b.[off, off+len)], a
+    window of a buffer the caller will overwrite, such as
+    [Intern.scratch]. Entries are interned with [Intern.cert_of_scratch],
+    and contexts and extension data are copied, so the result never
+    aliases [b]. Same results and errors as the string decoders. Raises
+    [Invalid_argument] if the window is out of bounds. *)

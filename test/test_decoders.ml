@@ -533,6 +533,326 @@ let signature_memo_domains () =
   Alcotest.(check int) "this domain" 0 here;
   Alcotest.(check int) "other domain" 0 (Domain.join d)
 
+(* --- the verdict-hit decoders --- *)
+
+(* The Base64 and PEM decoders as they were before decoding moved into the
+   Domain's scratch buffer (a closure per 4-character group, a fresh output
+   string; body lines in a [Buffer] copied out with [Buffer.contents]),
+   frozen as references. The one intended difference: data after a
+   two-character padding ("AB=C") used to decode like "AB==" and is now
+   rejected, naming its last character ([expected_base64]). *)
+let frozen_base64_decode s =
+  let decode_table =
+    let t = Array.make 256 (-1) in
+    String.iteri
+      (fun i c -> t.(Char.code c) <- i)
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    t
+  in
+  let n = String.length s in
+  if n mod 4 <> 0 then Error "base64: length not a multiple of 4"
+  else begin
+    let padding =
+      if n = 0 then 0
+      else if s.[n - 2] = '=' then 2
+      else if s.[n - 1] = '=' then 1
+      else 0
+    in
+    let groups = n / 4 in
+    let out = Bytes.create (groups * 3) in
+    let err = ref None in
+    (try
+       for g = 0 to groups - 1 do
+         let o = g * 4 in
+         let dec k =
+           let c = String.unsafe_get s (o + k) in
+           if c = '=' && g = groups - 1 && k >= 4 - padding then 0
+           else
+             let v = Array.unsafe_get decode_table (Char.code c) in
+             if v < 0 then begin
+               err := Some (Printf.sprintf "base64: invalid character %C" c);
+               raise Exit
+             end
+             else v
+         in
+         let triple =
+           (dec 0 lsl 18) lor (dec 1 lsl 12) lor (dec 2 lsl 6) lor dec 3
+         in
+         Bytes.unsafe_set out (g * 3) (Char.unsafe_chr (triple lsr 16));
+         Bytes.unsafe_set out ((g * 3) + 1)
+           (Char.unsafe_chr ((triple lsr 8) land 0xFF));
+         Bytes.unsafe_set out ((g * 3) + 2) (Char.unsafe_chr (triple land 0xFF))
+       done
+     with Exit -> ());
+    match !err with
+    | Some e -> Error e
+    | None -> Ok (Bytes.sub_string out 0 ((groups * 3) - padding))
+  end
+
+let expected_base64 s =
+  let n = String.length s in
+  match frozen_base64_decode s with
+  | Ok _ when n >= 4 && s.[n - 2] = '=' && s.[n - 1] <> '=' ->
+      Error (Printf.sprintf "base64: invalid character %C" s.[n - 1])
+  | r -> r
+
+let frozen_pem_decode ~base64 text =
+  let ( let* ) = Result.bind in
+  let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false in
+  let rec line_end text i =
+    if i = String.length text || String.unsafe_get text i = '\n' then i
+    else line_end text (i + 1)
+  in
+  let rec skip_space text i stop =
+    if i < stop && is_space (String.unsafe_get text i) then skip_space text (i + 1) stop
+    else i
+  in
+  let rec trim_end text start i =
+    if i > start && is_space (String.unsafe_get text (i - 1)) then
+      trim_end text start (i - 1)
+    else i
+  in
+  let window_is text a b word = String.sub text a (b - a) = word in
+  let n = String.length text in
+  let body = Buffer.create 4096 in
+  let rec scan acc in_block pos =
+    if pos > n then
+      if in_block then Error "PEM: unterminated CERTIFICATE block"
+      else Ok (List.rev acc)
+    else
+      let eol = line_end text pos in
+      let a = skip_space text pos eol in
+      let b = trim_end text a eol in
+      if not in_block then
+        if window_is text a b "-----BEGIN CERTIFICATE-----" then begin
+          Buffer.clear body;
+          scan acc true (eol + 1)
+        end
+        else scan acc false (eol + 1)
+      else if window_is text a b "-----END CERTIFICATE-----" then begin
+        let* der = base64 (Buffer.contents body) in
+        let* cert = Intern.cert_of_der der in
+        scan (cert :: acc) false (eol + 1)
+      end
+      else begin
+        Buffer.add_substring body text a (b - a);
+        scan acc true (eol + 1)
+      end
+  in
+  scan [] false 0
+
+let base64_chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+let invalid_chars = [ '!'; ' '; '='; '-'; '\n'; '\x80'; '\xff' ]
+let random_bytes st n = String.init n (fun _ -> Char.chr (Random.State.int st 256))
+let with_char s p c = String.mapi (fun i x -> if i = p then c else x) s
+
+let base64_matches_frozen () =
+  let st = Random.State.make [| 0xb64 |] in
+  let check label s =
+    Alcotest.(check (result string string)) label (expected_base64 s) (Base64.decode s)
+  in
+  (* bodies of 0-300 bytes: padding 0, 1 or 2 by length; and strings of
+     every length drawn from the alphabet plus '=' *)
+  for n = 0 to 300 do
+    check (Printf.sprintf "encoding of %d bytes" n) (Base64.encode (random_bytes st n));
+    check (Printf.sprintf "%d characters" n)
+      (String.init n (fun _ ->
+           if Random.State.int st 16 = 0 then '=' else base64_chars.[Random.State.int st 64]))
+  done;
+  (* every final group shape over a small alphabet *)
+  let small = [ 'A'; 'Q'; '/'; '='; '!' ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun c ->
+              List.iter
+                (fun d ->
+                  let s = String.init 4 (fun i -> List.nth [ a; b; c; d ] i) in
+                  check s s;
+                  check ("AAAA" ^ s) ("AAAA" ^ s))
+                small)
+            small)
+        small)
+    small;
+  (* an invalid character at every position, and two in one group (which
+     one is named) *)
+  List.iter
+    (fun n ->
+      let enc = Base64.encode (random_bytes st n) in
+      String.iteri
+        (fun p _ ->
+          List.iter
+            (fun c -> check (Printf.sprintf "%d bytes, %C at %d" n c p) (with_char enc p c))
+            invalid_chars;
+          if p mod 4 < 3 then
+            check (Printf.sprintf "%d bytes, two at %d" n p)
+              (with_char (with_char enc p '!') (p + 1) '-'))
+        enc)
+    [ 1; 2; 3; 4; 5; 6; 31; 32; 33; 100 ]
+
+(* Decoding in place (destination = source, at or before the input) gives
+   what [decode] gives. *)
+let base64_decode_in_place () =
+  let st = Random.State.make [| 0x1b64 |] in
+  for n = 0 to 300 do
+    let enc = Base64.encode (random_bytes st n) in
+    let len = String.length enc in
+    List.iter
+      (fun dst_off ->
+        let buf = Bytes.make (len + 11) '#' in
+        Bytes.blit_string enc 0 buf 7 len;
+        match Base64.decode_into buf ~off:7 ~len buf dst_off with
+        | Error e -> Alcotest.fail e
+        | Ok k ->
+            Alcotest.(check string)
+              (Printf.sprintf "%d bytes to offset %d" n dst_off)
+              (Result.get_ok (Base64.decode enc))
+              (Bytes.sub_string buf dst_off k))
+      [ 0; 3; 7 ]
+  done
+
+(* One PEM block with its body wrapped at [width] columns. *)
+let pem_block ~width ~eol ~trail body =
+  let b = Buffer.create (String.length body * 2) in
+  Buffer.add_string b ("-----BEGIN CERTIFICATE-----" ^ eol);
+  let n = String.length body in
+  let rec lines i =
+    if i < n then begin
+      Buffer.add_string b (String.sub body i (min width (n - i)));
+      Buffer.add_string b (trail ^ eol);
+      lines (i + width)
+    end
+  in
+  lines 0;
+  Buffer.add_string b ("-----END CERTIFICATE-----" ^ eol);
+  Buffer.contents b
+
+let pem_matches_frozen () =
+  let st = Random.State.make [| 0x9e3 |] in
+  let check label text =
+    Alcotest.(check (result (list string) string))
+      label
+      (as_der (frozen_pem_decode ~base64:expected_base64 text))
+      (as_der (Pem.decode_certs text))
+  in
+  let bodies = List.map (fun c -> Base64.encode (Cert.to_der c)) (Lazy.force pem_chain) in
+  (* line widths 1-80 (76 included, and widths not divisible by 4), LF and
+     CRLF, with and without trailing whitespace *)
+  for width = 1 to 80 do
+    List.iter
+      (fun (eol, trail) ->
+        check
+          (Printf.sprintf "width %d %S %S" width eol trail)
+          (String.concat "" (List.map (pem_block ~width ~eol ~trail) bodies)))
+      [ ("\n", ""); ("\r\n", ""); ("\n", " \t"); ("\r\n", " ") ]
+  done;
+  (* bodies of 0-300 bytes that are not DER: the parse error, or the
+     padding rules *)
+  for n = 0 to 300 do
+    let body = random_bytes st n in
+    check (Printf.sprintf "body of %d bytes" n)
+      (pem_block ~width:64 ~eol:"\n" ~trail:"" (Base64.encode body));
+    check (Printf.sprintf "body of %d, data after padding" n)
+      (pem_block ~width:76 ~eol:"\r\n" ~trail:""
+         (let e = Base64.encode body in
+          let k = String.length e in
+          if k >= 4 && e.[k - 1] = '=' then with_char e (k - 1) 'A' else e))
+  done;
+  (* an invalid character at every position of a certificate's body *)
+  let body = List.hd bodies in
+  String.iteri
+    (fun p _ ->
+      List.iter
+        (fun c ->
+          check (Printf.sprintf "%C at %d" c p)
+            (pem_block ~width:76 ~eol:"\r\n" ~trail:"" (with_char body p c)))
+        [ '!'; ' '; '='; '\x80' ])
+    body
+
+(* Fresh certificates, so decoding them misses the intern table and the
+   scratch copy path runs. *)
+let fresh_chain u tag n =
+  let h = Universe.hierarchy_deep u Universe.Sectigo in
+  let leaves =
+    List.init n (fun i ->
+        (Universe.mint_leaf u Universe.Sectigo ~hierarchy:h
+           ~domain:(Printf.sprintf "%s-%d.alias.example" tag i) ())
+          .Issue.cert)
+  in
+  leaves @ [ h.Universe.issuing.Issue.cert ]
+
+(* Decoding chain A, then a longer and a shorter chain B through the same
+   Domain scratch must leave A's certificates intact: each interned DER is
+   a copy, never a window of the scratch. *)
+let scratch_aliasing () =
+  let u = Universe.create ~seed:0x5c7a7c4L () in
+  let a = fresh_chain u "a" 2 and longer = fresh_chain u "b" 5 and shorter = fresh_chain u "c" 0 in
+  let decode chain = Result.get_ok (Pem.decode_certs (Pem.encode_certs chain)) in
+  let da = decode a in
+  let snapshot = List.map (fun c -> Bytes.to_string (Bytes.of_string (Cert.to_der c))) da in
+  ignore (decode longer);
+  ignore (decode shorter);
+  Alcotest.(check (list string)) "A unchanged after B" snapshot (List.map Cert.to_der da);
+  Alcotest.(check (list string)) "A equals a fresh parse"
+    (List.map (fun c -> Cert.to_der (Result.get_ok (Cert.of_der (Cert.to_der c)))) a)
+    (List.map Cert.to_der da);
+  (* a scratch window spanning the whole buffer is still copied *)
+  let der = Cert.to_der (List.hd (fresh_chain u "whole" 1)) in
+  let buf = Bytes.of_string der in
+  let c = Result.get_ok (Intern.cert_of_scratch buf ~off:0 ~len:(Bytes.length buf)) in
+  Bytes.fill buf 0 (Bytes.length buf) '\000';
+  Alcotest.(check string) "whole-buffer window copied" der (Cert.to_der c);
+  (* an owned string is kept as the DER itself, with no copy *)
+  let owned = Cert.to_der (List.hd (fresh_chain u "owned" 1)) in
+  let c = Result.get_ok (Intern.cert_of_der owned) in
+  Alcotest.(check bool) "owned string not copied" true (Cert.to_der c == owned);
+  (* certmsg windows: the message decoded from a scratch that is then
+     overwritten *)
+  let chain = fresh_chain u "msg" 2 in
+  let wire =
+    Chaoschain_tlssim.Certmsg.(encode (of_certs Tls13 chain))
+  in
+  let scratch = Bytes.of_string ("xx" ^ wire) in
+  let msg =
+    Result.get_ok
+      (Chaoschain_tlssim.Certmsg.decode_scratch None scratch ~off:2
+         ~len:(String.length wire))
+  in
+  Bytes.fill scratch 0 (Bytes.length scratch) '\000';
+  Alcotest.(check (list string)) "certmsg entries copied"
+    (List.map Cert.to_der chain)
+    (List.map Cert.to_der (Chaoschain_tlssim.Certmsg.certs msg))
+
+(* Two Domains decoding the same 1,000 PEM texts at once (each on its own
+   scratch, racing on the same intern misses) get what a serial decode
+   gets. *)
+let scratch_domains () =
+  let u = Universe.create ~seed:0xd0d0L () in
+  let chains = Array.init 25 (fun i -> fresh_chain u (Printf.sprintf "dom%d" i) (1 + (i mod 3))) in
+  let texts =
+    Array.init 1000 (fun i ->
+        String.concat ""
+          (List.map
+             (fun c ->
+               pem_block ~width:(1 + (i mod 80))
+                 ~eol:(if i mod 2 = 0 then "\n" else "\r\n")
+                 ~trail:"" (Base64.encode (Cert.to_der c)))
+             chains.(i mod 25)))
+  in
+  let decode_all () = Array.map (fun t -> as_der (Pem.decode_certs t)) texts in
+  Intern.clear ();
+  let serial = decode_all () in
+  Intern.clear ();
+  let d = Domain.spawn decode_all in
+  let here = decode_all () in
+  let there = Domain.join d in
+  Alcotest.(check bool) "this domain" true (here = serial);
+  Alcotest.(check bool) "other domain" true (there = serial);
+  Alcotest.(check bool) "every text decoded" true
+    (Array.for_all Result.is_ok serial)
+
 let suite =
   [ QCheck_alcotest.to_alcotest qcheck_json_string_round_trip;
     Alcotest.test_case "json error messages and offsets" `Quick
@@ -547,4 +867,9 @@ let suite =
     Alcotest.test_case "self-signed flag matches verify" `Slow self_signed_reference;
     Alcotest.test_case "subject index matches linear" `Slow subject_index_reference;
     Alcotest.test_case "subject index keeps insertion order" `Quick subject_index_order;
-    Alcotest.test_case "signature memo per domain" `Slow signature_memo_domains ]
+    Alcotest.test_case "signature memo per domain" `Slow signature_memo_domains;
+    Alcotest.test_case "base64 matches the frozen decoder" `Quick base64_matches_frozen;
+    Alcotest.test_case "base64 decodes in place" `Quick base64_decode_in_place;
+    Alcotest.test_case "pem matches the frozen decoder" `Quick pem_matches_frozen;
+    Alcotest.test_case "scratch windows never alias" `Quick scratch_aliasing;
+    Alcotest.test_case "scratch per domain" `Slow scratch_domains ]

@@ -29,6 +29,17 @@ let base64_errors () =
   Alcotest.(check bool) "pad in first group" true
     (Result.is_error (Base64.decode "a=aaAAAA"))
 
+(* With two padding characters the last must be '=' as well: "AB=C"
+   carries data after the padding and used to decode like "AB==". *)
+let base64_data_after_padding () =
+  let decode s = Result.fold ~ok:(Printf.sprintf "ok %S") ~error:Fun.id (Base64.decode s) in
+  Alcotest.(check string) "AB=C" "base64: invalid character 'C'" (decode "AB=C");
+  Alcotest.(check string) "Zm9vYg=r" "base64: invalid character 'r'" (decode "Zm9vYg=r");
+  Alcotest.(check string) "AB==" "ok \"\\000\"" (decode "AB==");
+  Alcotest.(check string) "ABC=" "ok \"\\000\\016\"" (decode "ABC=");
+  (* an invalid character elsewhere in the group is still the one named *)
+  Alcotest.(check string) "!B=C" "base64: invalid character '!'" (decode "!B=C")
+
 let qcheck_base64_decode_total =
   (* decode never raises: any 4k-length ASCII string yields Ok or Error. *)
   QCheck.Test.make ~name:"base64 decode is total" ~count:300
@@ -206,4 +217,5 @@ let suite =
     Alcotest.test_case "vendor deliveries" `Quick vendor_deliveries;
     Alcotest.test_case "server checks" `Quick server_checks;
     Alcotest.test_case "table 4 rows" `Quick table4_shape;
-    Alcotest.test_case "admin operators" `Quick admin_ops ]
+    Alcotest.test_case "admin operators" `Quick admin_ops;
+    Alcotest.test_case "base64 data after padding" `Quick base64_data_after_padding ]

@@ -433,6 +433,64 @@ let netloop_disconnect_survival () =
       Netloop.stop loop;
       drive loop [ cl ] (fun () -> Netloop.finished loop))
 
+(* Replies larger than the socket's send buffer, four per batch, to a
+   reader that takes at most 16 KiB per loop step: every flush ends in a
+   partial write, and the stream must still arrive byte-identical and in
+   order. While more than [write_bound] reply bytes are queued, the
+   connection must not be read. *)
+let netloop_large_replies () =
+  with_listener @@ fun path listen ->
+  let fd = dial path in
+  let size = (2 * Unix.getsockopt_int fd Unix.SO_SNDBUF) + 17 in
+  let reply frame =
+    String.init size (fun i ->
+        if i < String.length frame then frame.[i] else Char.chr (97 + (i * 7 mod 26)))
+  in
+  let q = Queue.create () in
+  let sink =
+    { Netloop.can_admit = (fun () -> Queue.length q < 8);
+      submit = (fun ~tag frame -> Queue.add (tag, reply frame) q; `Admitted);
+      drain =
+        (fun () -> List.init (min 4 (Queue.length q)) (fun _ -> Queue.pop q));
+      pending = (fun () -> Queue.length q);
+      submit_overlong = (fun ~tag -> Queue.add (tag, "OVERLONG") q) }
+  in
+  let config = { Netloop.default_config with Netloop.write_bound = 4096 } in
+  let loop = Netloop.create ~config ~listen sink in
+  Unix.set_nonblock fd;
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let frames = List.init 8 (Printf.sprintf "frame-%d") in
+      let first, second = (List.filteri (fun i _ -> i < 4) frames, List.filteri (fun i _ -> i >= 4) frames) in
+      write_all fd (String.concat "" (List.map (fun f -> f ^ "\n") first));
+      let steps n = for _ = 1 to n do ignore (Netloop.step ~timeout:0.01 loop) done in
+      steps 20;
+      Alcotest.(check int) "first batch read" 4 (Netloop.stats loop).Netloop.frames;
+      write_all fd (String.concat "" (List.map (fun f -> f ^ "\n") second));
+      steps 20;
+      Alcotest.(check int) "reading paused past write_bound" 4
+        (Netloop.stats loop).Netloop.frames;
+      let expected = String.concat "" (List.map (fun f -> reply f ^ "\n") frames) in
+      let got = Buffer.create (String.length expected) in
+      let chunk = Bytes.create 16384 in
+      let iters = ref 0 in
+      while Buffer.length got < String.length expected && !iters < 100_000 do
+        incr iters;
+        ignore (Netloop.step loop);
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> iters := max_int - 1
+        | n -> Buffer.add_subbytes got chunk 0 n
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+      done;
+      Alcotest.(check int) "every byte" (String.length expected) (Buffer.length got);
+      Alcotest.(check bool) "byte-identical, in order" true
+        (String.equal expected (Buffer.contents got));
+      Alcotest.(check int) "second batch read once drained" 8
+        (Netloop.stats loop).Netloop.frames;
+      Netloop.stop loop;
+      drive loop [] (fun () -> Netloop.finished loop))
+
 (* --- the whole stack: netloop + engine, many connections --- *)
 
 (* 300 concurrent connections each send two identified requests through the
@@ -592,4 +650,6 @@ let suite =
     Alcotest.test_case "netloop engine 300-conn byte-identity" `Slow
       netloop_engine_byte_identity;
     Alcotest.test_case "netloop sharded 2-loop byte-identity" `Slow
-      netloop_sharded_byte_identity ]
+      netloop_sharded_byte_identity;
+    Alcotest.test_case "netloop replies past the send buffer" `Quick
+      netloop_large_replies ]
